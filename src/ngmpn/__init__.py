@@ -14,8 +14,7 @@ from .petri import (Arc, ModelError, PetriModel, Place, Transition,
                     classify_transitions, load_model, net_flow, parse_model,
                     validate_assumptions)
 from .ngm import (DfeError, DfeResult, NgmError, NgmResult, build_script_F,
-                  build_script_V, compute_dfe, jacobians_at_dfe, ngm_r0,
-                  spectral_radius)
+                  build_script_V, compute_dfe, ngm_r0, spectral_radius)
 from .sim import (SimError, Trajectory, run_spn, run_spn_replicates,
                   run_vapn, step_vapn)
 from .estimate import (EstimateError, EstimateResult, SweepConfig,
@@ -32,7 +31,7 @@ __all__ = [
     "parse_model", "load_model", "net_flow", "classify_transitions",
     "validate_assumptions",
     "ngm_r0", "compute_dfe", "build_script_F", "build_script_V",
-    "jacobians_at_dfe", "spectral_radius",
+    "spectral_radius",
     "NgmResult", "DfeResult", "NgmError", "DfeError",
     "run_vapn", "step_vapn", "run_spn", "run_spn_replicates",
     "Trajectory", "SimError",

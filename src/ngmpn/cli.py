@@ -1,22 +1,22 @@
 """Command-line front end.
 
 Subcommands: validate | r0 | simulate | sweep | list-models. Exit codes:
-0 success, 1 domain error (failed validation, estimation or R0 errors),
-2 usage or I/O error. All numeric output uses 12 significant digits and
-JSON objects are emitted with sorted keys, so runs diff cleanly.
+0 success, 1 domain error (failed validation, estimation or R0 errors, a
+sweep in which every grid point failed), 2 usage or I/O error. All numeric
+output uses 12 significant digits and JSON objects are emitted with sorted
+keys, so runs diff cleanly.
 """
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from .estimate import EstimateError, SweepConfig, SweepReport, SweepRow, sweep
-from .expr import EvalError, ExprError, UnboundSymbolError
+from .estimate import EstimateError, SweepConfig, sweep
+from .expr import ExprError
+from .linalg import LinalgError
 from .modelzoo import ZooError, builtin, zoo_entries
 from .ngm import NgmError, ngm_r0
 from .petri import ModelError, load_model, validate_assumptions
@@ -68,7 +68,12 @@ def _seed(args):
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("NGMPN_SEED")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"NGMPN_SEED is not an integer: {env!r}") from None
 
 
 def cmd_validate(args) -> int:
@@ -94,10 +99,10 @@ def _rep_path(path: str, i: int) -> str:
 
 def cmd_simulate(args) -> int:
     m = _load(args)
-    if args.dt <= 0:
+    if not args.dt > 0:
         raise UsageError("--dt must be positive")
-    if args.t_end is None or args.t_end < 0:
-        raise UsageError("--t-end must be given and non-negative")
+    if args.t_end is None or not 0 <= args.t_end < math.inf:
+        raise UsageError("--t-end must be given, finite and non-negative")
     params = _params(args)
     if m.kind == "vapn":
         if args.replicates != 1:
@@ -154,47 +159,19 @@ def _parse_grid(items):
     return grid
 
 
-def _sweep_point(payload):
-    """One grid point, picklable for --jobs; returns a SweepRow."""
-    source, is_path, point, overrides, cfg_kw = payload
-    m = builtin(source) if not is_path else load_model(source)
-    config = SweepConfig(overrides=overrides, **cfg_kw)
-    report = sweep(m, {k: [v] for k, v in point.items()}, config)
-    row = report.rows[0]
-    return SweepRow(point, row.r0_alg, row.r0_hat, row.rel_err, row.error)
-
-
 def cmd_sweep(args) -> int:
     m = _load(args)
-    if args.dt <= 0:
+    if not args.dt > 0:
         raise UsageError("--dt must be positive")
     grid = _parse_grid(args.grid)
     for name in grid:
         if name not in m.params:
             raise NgmError(f"grid over unknown parameter: {name}")
-    overrides = _params(args)
-    cfg_kw = dict(dt=args.dt, chunk_t=args.chunk_t, conv_tol=args.conv_tol,
-                  max_t=args.max_t, susceptible=args.susceptible)
-    config = SweepConfig(overrides=overrides, **cfg_kw)
-
-    if args.jobs > 1:
-        names = tuple(grid.keys())
-        points = [dict(zip(names, combo))
-                  for combo in itertools.product(*(grid[k] for k in names))]
-        source = args.builtin if args.builtin else args.model
-        payloads = [(source, not args.builtin, pt, overrides, cfg_kw)
-                    for pt in points]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = tuple(pool.map(_sweep_point, payloads))
-        sq = [r.rel_err ** 2 for r in rows if r.rel_err is not None]
-        report = SweepReport(
-            rows,
-            math.sqrt(sum(sq) / len(sq)) if sq else math.nan,
-            max((r.rel_err for r in rows if r.rel_err is not None),
-                default=math.nan),
-            sum(1 for r in rows if r.error), names, config)
-    else:
-        report = sweep(m, grid, config)
+    config = SweepConfig(dt=args.dt, chunk_t=args.chunk_t,
+                         conv_tol=args.conv_tol, max_t=args.max_t,
+                         susceptible=args.susceptible,
+                         overrides=_params(args))
+    report = sweep(m, grid, config, jobs=args.jobs)
 
     if args.output:
         with open(args.output, "w") as fh:
@@ -203,6 +180,9 @@ def cmd_sweep(args) -> int:
     else:
         report.write_csv(sys.stdout)
         _emit_json(report.summary(), sys.stderr)
+    if report.failures == len(report.rows):
+        print("error: every grid point failed", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -270,7 +250,8 @@ def main(argv=None) -> int:
     except (UsageError, ModelError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NgmError, EstimateError, SimError, ZooError, ExprError) as exc:
+    except (NgmError, EstimateError, SimError, ZooError, ExprError,
+            LinalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from .ngm import ngm_r0
 from .petri import PetriModel
@@ -133,7 +136,8 @@ def rrmse(rows) -> float:
             raise EstimateError("row without both estimates")
         if alg <= 0:
             raise EstimateError(f"nonpositive algebraic R0: {alg}")
-        sq.append(((hat - alg) / alg) ** 2)
+        rel = (hat - alg) / alg
+        sq.append(rel * rel)
     if not sq:
         raise EstimateError("no rows")
     return math.sqrt(sum(sq) / len(sq))
@@ -170,7 +174,11 @@ class SweepReport:
     config: SweepConfig
 
     def summary(self) -> dict:
-        return {"rrmse": self.rrmse, "max_rel_err": self.max_rel_err,
+        """Aggregates as JSON-ready values; an error aggregate with no
+        successful point behind it is None."""
+        ok = self.failures < len(self.rows)
+        return {"rrmse": self.rrmse if ok else None,
+                "max_rel_err": self.max_rel_err if ok else None,
                 "n_points": len(self.rows), "failures": self.failures}
 
     def write_csv(self, fh):
@@ -225,27 +233,11 @@ def converged_run(m: PetriModel, params: dict, config: SweepConfig) -> Trajector
                       metadata=dict(last.metadata))
 
 
-def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> SweepReport:
-    """Estimator-vs-algebra comparison over a cartesian parameter grid.
-
-    grid maps parameter names to value lists; rows come out in
-    grid-lexicographic order (first name slowest). Per-point failures are
-    recorded in the row and excluded from the aggregate errors.
-    """
-    if not grid:
-        raise EstimateError("empty parameter grid")
-    config = config or SweepConfig()
-    names = tuple(grid.keys())
-    marking = tuple(config.marking0) if config.marking0 is not None \
-        else m.initial_marking()
-    n = config.n if config.n is not None else float(sum(marking))
-
+def _sweep_rows(m: PetriModel, config: SweepConfig, n: float, points) -> list:
+    """One SweepRow per grid point, in order; a point's failure is recorded
+    in its row."""
     rows = []
-    sq_errs = []
-    max_rel = 0.0
-    failures = 0
-    for combo in itertools.product(*(grid[k] for k in names)):
-        point = dict(zip(names, combo))
+    for point in points:
         params = dict(config.overrides)
         params.update(point)
         try:
@@ -257,11 +249,45 @@ def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> Sweep
                 raise EstimateError(f"nonpositive algebraic R0: {r0_alg}")
             rel = abs(est.r0_hat - r0_alg) / r0_alg
             rows.append(SweepRow(point, r0_alg, est.r0_hat, rel))
-            sq_errs.append(rel * rel)
-            max_rel = max(max_rel, rel)
         except Exception as exc:  # recorded, not fatal to the sweep
             rows.append(SweepRow(point, error=f"{type(exc).__name__}: {exc}"))
-            failures += 1
-    agg = math.sqrt(sum(sq_errs) / len(sq_errs)) if sq_errs else math.nan
-    return SweepReport(tuple(rows), agg, max_rel if sq_errs else math.nan,
-                       failures, names, config)
+    return rows
+
+
+def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None,
+          jobs: int = 1) -> SweepReport:
+    """Estimator-vs-algebra comparison over a cartesian parameter grid.
+
+    grid maps parameter names to value lists; rows come out in
+    grid-lexicographic order (first name slowest). Per-point failures are
+    recorded in the row and excluded from the aggregate errors. With jobs > 1
+    the grid is cut into that many contiguous chunks, each run in a worker
+    process on its own copy of the model; the rows are the same as a serial
+    run's.
+    """
+    if not grid:
+        raise EstimateError("empty parameter grid")
+    if jobs < 1:
+        raise EstimateError("jobs must be >= 1")
+    config = config or SweepConfig()
+    names = tuple(grid.keys())
+    marking = tuple(config.marking0) if config.marking0 is not None \
+        else m.initial_marking()
+    n = config.n if config.n is not None else float(sum(marking))
+    points = [dict(zip(names, combo))
+              for combo in itertools.product(*(grid[k] for k in names))]
+
+    if jobs > 1 and len(points) > 1:
+        size = -(-len(points) // jobs)
+        chunks = [points[i:i + size] for i in range(0, len(points), size)]
+        with ProcessPoolExecutor(max_workers=len(chunks),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            parts = pool.map(partial(_sweep_rows, m, config, n), chunks)
+            rows = [row for part in parts for row in part]
+    else:
+        rows = _sweep_rows(m, config, n, points)
+
+    ok = [row for row in rows if row.error is None]
+    return SweepReport(tuple(rows), rrmse(ok) if ok else math.nan,
+                       max((row.rel_err for row in ok), default=math.nan),
+                       len(rows) - len(ok), names, config)

@@ -2,7 +2,8 @@
 
 The matrices here are tiny (one row per infected place, rarely more than
 four), so everything uses plain lists of floats and textbook algorithms:
-Gaussian elimination with partial pivoting for solves and inverses, and a
+Gauss-Jordan elimination with partial pivoting for inverses, row-echelon
+basic solutions for the rank-deficient systems of the DFE solve, and a
 balanced Hessenberg reduction followed by the implicit double-shift QR
 iteration for eigenvalues. Matrices are lists of row lists.
 """
@@ -48,33 +49,6 @@ def norm1(a) -> float:
 
 def max_abs(a) -> float:
     return max((abs(v) for row in a for v in row), default=0.0)
-
-
-def solve(a, b):
-    """Solve the square system a x = b by elimination with partial pivoting."""
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    scale = max_abs(a)
-    tiny = 1e-14 * max(scale, 1.0)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) <= tiny:
-            raise SingularMatrixError(f"pivot {col} below tolerance")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        prow = m[col]
-        for r in range(col + 1, n):
-            f = m[r][col] / prow[col]
-            if f != 0.0:
-                for c in range(col, n + 1):
-                    m[r][c] -= f * prow[c]
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        s = m[i][n]
-        for j in range(i + 1, n):
-            s -= m[i][j] * x[j]
-        x[i] = s / m[i][i]
-    return x
 
 
 def invert(a):

@@ -8,7 +8,10 @@ the DFE, and take the spectral radius of F V^-1.
 
 Script F and script V are kept symbolic so they can be printed and inspected;
 the Jacobians are exact derivatives of those expressions, not finite
-differences.
+differences. Parameters enter only when these expressions are evaluated, so
+everything symbolic (classification, script F and V, their Jacobians, the
+DFE flow system and its Jacobian, the structural findings) is derived once
+per model and reused at every parameter point.
 """
 from __future__ import annotations
 
@@ -17,10 +20,9 @@ from dataclasses import dataclass
 
 from . import linalg
 from .expr import (Expr, Symbol, Constant, Add, Neg, add_, simplify, substitute,
-                   diff, eval_expr, to_text)
+                   diff, eval_expr, parse_expr)
 from .petri import (PetriModel, FlowTable, Finding, RESERVED_TOTAL,
-                    net_flow, classify_transitions, validate_assumptions,
-                    ModelError)
+                    net_flow, classify_transitions, validate_assumptions)
 
 
 class NgmError(Exception):
@@ -69,15 +71,21 @@ class NgmResult:
         }
 
 
-_cache: "weakref.WeakKeyDictionary[PetriModel, dict]" = weakref.WeakKeyDictionary()
+@dataclass(frozen=True)
+class _ModelWork:
+    """What the R0 pipeline needs from a model before any parameter value is
+    known."""
+    script_f: tuple
+    script_v: tuple
+    jf: tuple          # d(script F row i)/d(infected place j)
+    jv: tuple          # d(script V row sum i)/d(infected place j)
+    findings: tuple    # A1-A4; A5 needs parameter values
+    dfe_places: tuple  # non-infected places
+    dfe_flows: tuple   # their net flows with the infected places at zero
+    dfe_jac: tuple     # d(dfe_flows[i])/d(dfe_places[j])
 
 
-def _model_cache(m: PetriModel) -> dict:
-    c = _cache.get(m)
-    if c is None:
-        c = {}
-        _cache[m] = c
-    return c
+_cache: "weakref.WeakKeyDictionary[PetriModel, _ModelWork]" = weakref.WeakKeyDictionary()
 
 
 def _expand_total(m: PetriModel, e: Expr) -> Expr:
@@ -86,17 +94,31 @@ def _expand_total(m: PetriModel, e: Expr) -> Expr:
     return substitute(e, {RESERVED_TOTAL: total})
 
 
-def _merged_params(m: PetriModel, params) -> dict:
-    merged = dict(m.params)
-    if params:
-        place_names = set(m.place_names())
-        for k, v in params.items():
-            if k not in merged:
-                if k in place_names:
-                    raise NgmError(f"{k!r} is a place, not a parameter")
-                raise NgmError(f"unknown parameter: {k}")
-            merged[k] = float(v)
-    return merged
+def _jacobian(rows, names) -> tuple:
+    return tuple(tuple(diff(row, x) for x in names) for row in rows)
+
+
+def _work(m: PetriModel) -> _ModelWork:
+    """The model's parameter-free work, derived on first use and kept for
+    the model's lifetime."""
+    w = _cache.get(m)
+    if w is None:
+        flows = classify_transitions(m)
+        script_f = build_script_F(m, flows)
+        script_v = build_script_V(m, flows)
+        infected = m.infected_places()
+        f_rows = [_expand_total(m, e) for e in script_f]
+        v_rows = [_expand_total(m, add_(list(row))) for row in script_v]
+        findings = tuple(f for f in validate_assumptions(m) if f.code != "A5")
+        zero = {name: Constant(0.0) for name in infected}
+        dfe_places = tuple(p.name for p in m.places if not p.infected)
+        dfe_flows = tuple(simplify(substitute(_expand_total(m, net_flow(m, p)), zero))
+                          for p in dfe_places)
+        w = _cache[m] = _ModelWork(
+            script_f, script_v,
+            _jacobian(f_rows, infected), _jacobian(v_rows, infected), findings,
+            dfe_places, dfe_flows, _jacobian(dfe_flows, dfe_places))
+    return w
 
 
 # --------------------------------------------------------------------- DFE
@@ -111,11 +133,11 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
     places equals sum of initial markings) is appended; free places keep the
     basic solution favouring earlier declarations. Annotated values given in
     ``constraints`` (a mapping or pair list, values numeric or expression
-    text) are substituted first. Fails loudly when the residual will not
+    text) pin their places. Fails loudly when the residual will not
     converge or a component turns negative.
     """
-    bound = _merged_params(m, params)
-    infected = set(m.infected_places())
+    bound = m.merged_params(params, NgmError)
+    w = _work(m)
     notes = []
 
     pinned: dict = {}
@@ -124,53 +146,49 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
         for place, value in items:
             if not m.is_place(place):
                 raise DfeError(f"constraint names unknown place {place!r}")
-            if place in infected:
+            if place not in w.dfe_places:
                 raise DfeError(f"cannot constrain infected place {place!r}")
             if isinstance(value, str):
-                from .expr import parse_expr
                 value = eval_expr(parse_expr(value), bound)
             pinned[place] = float(value)
 
-    submap = {name: Constant(0.0) for name in infected}
-    submap.update({name: Constant(v) for name, v in pinned.items()})
-
-    noninfected = [p for p in m.places if p.name not in infected]
-    equations = []
-    for p in noninfected:
-        e = _expand_total(m, net_flow(m, p.name))
-        equations.append(simplify(substitute(e, submap)))
-    unknowns = [p.name for p in noninfected if p.name not in pinned]
-    idx = {name: j for j, name in enumerate(unknowns)}
-
-    jac = [[diff(eq, u) for u in unknowns] for eq in equations]
+    equations = w.dfe_flows
+    cols = [j for j, name in enumerate(w.dfe_places) if name not in pinned]
+    unknowns = [w.dfe_places[j] for j in cols]
+    jac = [[row[j] for j in cols] for row in w.dfe_jac]
+    fixed = {**bound, **pinned}
 
     def flow_values(u):
-        b = dict(bound)
-        for name, j in idx.items():
-            b[name] = u[j]
+        b = dict(fixed)
+        b.update(zip(unknowns, u))
         return [eval_expr(eq, b) for eq in equations], b
 
     def flow_scale(b):
-        s = 1.0
+        """The largest single flow term; 1.0 only when every term is zero."""
+        s = 0.0
         for eq in equations:
             terms = eq.terms if isinstance(eq, Add) else (eq,)
             for t in terms:
                 s = max(s, abs(eval_expr(t, b)))
-        return s
+        return s or 1.0
 
-    u = [p.init for p in noninfected if p.name not in pinned]
+    def assemble(u, method, residual):
+        values = {**dict(zip(unknowns, u)), **pinned}
+        marking = tuple(values.get(p.name, 0.0) for p in m.places)
+        return DfeResult(marking, method, residual, tuple(notes))
+
+    init = dict(zip(m.place_names(), m.initial_marking()))
+    u = [init[name] for name in unknowns]
 
     if not unknowns:
         f, b = flow_values(u)
         residual = max(map(abs, f), default=0.0) / flow_scale(b)
         if residual > tol:
             raise DfeError(f"annotated point is not an equilibrium (residual {residual:.3g})")
-        return _assemble_dfe(m, infected, pinned, idx, u,
-                             "annotated", residual, notes)
+        return assemble(u, "annotated", residual)
 
-    f0, b0 = flow_values(u)
-    j0 = [[eval_expr(jac[i][j], b0) for j in range(len(unknowns))]
-          for i in range(len(equations))]
+    _, b0 = flow_values(u)
+    j0 = [[eval_expr(c, b0) for c in row] for row in jac]
     _, rank, _ = linalg.basic_solution(j0, [0.0] * len(equations))
 
     augmented = rank < len(unknowns)
@@ -192,8 +210,7 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
         scale = flow_scale(b)
         if res <= tol * scale:
             break
-        jm = [[eval_expr(jac[i][j], b) for j in range(len(unknowns))]
-              for i in range(len(equations))]
+        jm = [[eval_expr(c, b) for c in row] for row in jac]
         if augmented:
             jm.append([1.0] * len(unknowns))
         step, _, _ = linalg.basic_solution(jm, [-v for v in f])
@@ -224,19 +241,7 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
     residual = max(map(abs, fl), default=0.0) / flow_scale(bf)
     if residual > tol:
         raise DfeError(f"equilibrium residual {residual:.3g} exceeds tolerance")
-    return _assemble_dfe(m, infected, pinned, idx, u, method, residual, notes)
-
-
-def _assemble_dfe(m, infected, pinned, idx, u, method, residual, notes):
-    marking = []
-    for p in m.places:
-        if p.name in infected:
-            marking.append(0.0)
-        elif p.name in pinned:
-            marking.append(pinned[p.name])
-        else:
-            marking.append(u[idx[p.name]])
-    return DfeResult(tuple(marking), method, residual, tuple(notes))
+    return assemble(u, method, residual)
 
 
 # --------------------------------------------------- script F and script V
@@ -294,41 +299,6 @@ def build_script_V(m: PetriModel, flows: FlowTable):
     return tuple(tuple(add_(cell) for cell in row) for row in cells)
 
 
-def _symbolic_jacobians(m: PetriModel):
-    cache = _model_cache(m)
-    if "jac" in cache:
-        return cache["jac"]
-    flows = cache.get("flows")
-    if flows is None:
-        flows = cache["flows"] = classify_transitions(m)
-    script_f = cache.get("script_f")
-    if script_f is None:
-        script_f = cache["script_f"] = build_script_F(m, flows)
-        cache["script_v"] = build_script_V(m, flows)
-    script_v = cache["script_v"]
-
-    infected = m.infected_places()
-    f_rows = [_expand_total(m, e) for e in script_f]
-    v_rows = [_expand_total(m, add_(list(row))) for row in script_v]
-    jf = [[diff(row, x) for x in infected] for row in f_rows]
-    jv = [[diff(row, x) for x in infected] for row in v_rows]
-    cache["jac"] = (jf, jv)
-    return jf, jv
-
-
-def jacobians_at_dfe(m: PetriModel, script_f, script_v, dfe: DfeResult, params=None):
-    """Numeric F and V: derivatives of script F entries and script V row sums
-    with respect to each infected place, at the DFE."""
-    bound = _merged_params(m, params)
-    infected = m.infected_places()
-    f_rows = [_expand_total(m, e) for e in script_f]
-    v_rows = [_expand_total(m, add_(list(row))) for row in script_v]
-    b = m.bindings_at(dfe.marking, bound)
-    F = [[eval_expr(diff(row, x), b) for x in infected] for row in f_rows]
-    V = [[eval_expr(diff(row, x), b) for x in infected] for row in v_rows]
-    return F, V
-
-
 def spectral_radius(k_matrix):
     """Spectral radius of a numeric matrix with diagnostics about the
     dominant eigenvalue (its real and imaginary parts and near-ties)."""
@@ -353,24 +323,13 @@ def ngm_r0(m: PetriModel, params=None, constraints=None) -> NgmResult:
     """
     if not m.infected_places():
         raise NgmError("model declares no infected places")
-    bound = _merged_params(m, params)
-
-    findings = [f for f in validate_assumptions(m) if f.code != "A5"]
+    bound = m.merged_params(params, NgmError)
+    w = _work(m)
     dfe = compute_dfe(m, constraints=constraints, params=bound)
 
-    cache = _model_cache(m)
-    if "flows" not in cache:
-        cache["flows"] = classify_transitions(m)
-    flows = cache["flows"]
-    if "script_f" not in cache:
-        cache["script_f"] = build_script_F(m, flows)
-        cache["script_v"] = build_script_V(m, flows)
-    script_f, script_v = cache["script_f"], cache["script_v"]
-
-    jf, jv = _symbolic_jacobians(m)
     b = m.bindings_at(dfe.marking, bound)
-    F = [[eval_expr(c, b) for c in row] for row in jf]
-    V = [[eval_expr(c, b) for c in row] for row in jv]
+    F = [[eval_expr(c, b) for c in row] for row in w.jf]
+    V = [[eval_expr(c, b) for c in row] for row in w.jv]
 
     try:
         Vinv, cond = linalg.invert([row[:] for row in V])
@@ -386,6 +345,7 @@ def ngm_r0(m: PetriModel, params=None, constraints=None) -> NgmResult:
 
     neg_v = linalg.eigenvalues([[-v for v in row] for row in V])
     stable = all(ev.real < 0.0 for ev in neg_v)
+    findings = list(w.findings)
     findings.append(Finding(
         "A5", "satisfied" if stable else "violated",
         "transfer flows decay at the DFE" if stable else
@@ -398,7 +358,7 @@ def ngm_r0(m: PetriModel, params=None, constraints=None) -> NgmResult:
     if neg_entries:
         diagnostics["negative_F_entries"] = neg_entries
 
-    return NgmResult(dfe, script_f, script_v,
+    return NgmResult(dfe, w.script_f, w.script_v,
                      tuple(map(tuple, F)), tuple(map(tuple, V)),
                      tuple(map(tuple, Vinv)), tuple(map(tuple, K)),
                      r0, diagnostics, tuple(findings))

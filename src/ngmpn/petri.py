@@ -20,6 +20,7 @@ any expression it denotes the sum of all place markings.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -98,17 +99,29 @@ class PetriModel:
     def initial_marking(self):
         return tuple(p.init for p in self.places)
 
-    def arcs_into_place(self, place: str):
-        return tuple(a for a in self.arcs if a.target == place)
-
-    def arcs_out_of_place(self, place: str):
-        return tuple(a for a in self.arcs if a.source == place)
-
     def inputs_of(self, trans: str):
         return tuple(a for a in self.arcs if a.target == trans)
 
     def outputs_of(self, trans: str):
         return tuple(a for a in self.arcs if a.source == trans)
+
+    def merged_params(self, params=None, error=ModelError) -> dict:
+        """The model's parameters overridden by `params`, as floats.
+
+        An unknown name, a place name or a non-finite value raises `error`
+        naming the parameter.
+        """
+        merged = dict(self.params)
+        for k, v in (params or {}).items():
+            if k not in merged:
+                if k in self._place_idx:
+                    raise error(f"{k!r} is a place, not a parameter")
+                raise error(f"unknown parameter: {k}")
+            merged[k] = float(v)
+        for k, v in merged.items():
+            if not math.isfinite(v):
+                raise error(f"parameter {k} is not finite: {v}")
+        return merged
 
     def bindings_at(self, marking, params=None) -> dict:
         """Symbol bindings at a marking: places, params and the reserved N."""

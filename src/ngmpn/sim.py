@@ -10,21 +10,22 @@ Stochastic nets fire one transition at a time: each enabled transition's rate
 is its propensity, waiting times are exponential, and the next event is
 chosen proportionally to propensity. Markings stay integers throughout.
 
-Both steppers are compiled to Python source once per (model, parameters)
-pair, with parameter values folded in as literals; the expression trees are
-transcribed factor by factor, so a compiled step reproduces a hand-written
-evaluation of the same weights bit for bit.
+Both steppers are compiled to Python source once per model and take the
+parameter values as an argument; the expression trees are transcribed factor
+by factor, so a compiled step reproduces a hand-written evaluation of the
+same weights bit for bit.
 """
 from __future__ import annotations
 
 import keyword
 import math
+import re
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Constant, substitute, to_python
+from .expr import Symbol, substitute, to_python
 from .petri import PetriModel, RESERVED_TOTAL, ModelError
 
 
@@ -56,66 +57,63 @@ class Trajectory:
             fh.write(f"{t:.12g}," + ",".join(f"{v:.12g}" for v in m) + "\n")
 
 
-def _merged(m: PetriModel, params) -> dict:
-    merged = dict(m.params)
-    if params:
-        for k, v in params.items():
-            if k not in merged:
-                raise SimError(f"unknown parameter: {k}")
-            merged[k] = float(v)
-    return merged
+def _param_values(m: PetriModel, params) -> tuple:
+    """Merged parameter values in declaration order, as the generated code
+    unpacks them."""
+    return tuple(m.merged_params(params, SimError).values())
+
+
+# names the generated code uses itself: its locals and the builtin range
+_INTERNAL = re.compile(r"(range|_(mk|dt|p|clips|k|nsteps|every|tapp|mapp|t0|[wn][0-9]+))$")
 
 
 def _pyname(name: str, taken: set) -> str:
     out = name
-    while keyword.iskeyword(out) or out in taken:
+    while keyword.iskeyword(out) or out in taken or _INTERNAL.match(out):
         out += "_"
     return out
+
+
+def _targets(names) -> str:
+    """Tuple-unpacking target list; a single name keeps its trailing comma."""
+    return ", ".join(names) + ("," if len(names) == 1 else "")
 
 
 _compiled: "weakref.WeakKeyDictionary[PetriModel, dict]" = weakref.WeakKeyDictionary()
 
 
-def _compile(m: PetriModel, params: dict, builder):
-    per_model = _compiled.get(m)
-    if per_model is None:
-        per_model = {}
-        _compiled[m] = per_model
-    key = (builder.__name__, tuple(sorted(params.items())))
-    fns = per_model.get(key)
+def _compile(m: PetriModel, builder):
+    """The builder's generated code for a model, built on its first use and
+    kept for the model's lifetime."""
+    per_model = _compiled.setdefault(m, {})
+    fns = per_model.get(builder.__name__)
     if fns is None:
-        fns = builder(m, params)
-        per_model[key] = fns
+        fns = per_model[builder.__name__] = builder(m)
     return fns
 
 
-def _symbol_table(m: PetriModel, params: dict):
-    """Renames for code generation plus the substitution map folding params."""
+def _symbol_table(m: PetriModel):
+    """Python names for places, parameters and the total, plus the
+    substitution map applying the renames to expressions."""
     taken: set = set()
     names = {}
-    for p in m.places:
-        names[p.name] = _pyname(p.name, taken)
-        taken.add(names[p.name])
-    total = _pyname(RESERVED_TOTAL, taken)
-    taken.add(total)
-    submap = {k: Constant(v) for k, v in params.items()}
-    from .expr import Symbol
-    for p in m.places:
-        if names[p.name] != p.name:
-            submap[p.name] = Symbol(names[p.name])
-    if total != RESERVED_TOTAL:
-        submap[RESERVED_TOTAL] = Symbol(total)
-    return names, total, submap
+    for name in [p.name for p in m.places] + list(m.params) + [RESERVED_TOTAL]:
+        names[name] = _pyname(name, taken)
+        taken.add(names[name])
+    submap = {k: Symbol(v) for k, v in names.items() if k != v}
+    return names, submap
 
 
 # ----------------------------------------------------------- deterministic
 
-def _build_vapn(m: PetriModel, params: dict):
+def _build_vapn(m: PetriModel):
     if m.kind != "vapn":
         raise SimError(f"model {m.name} is not a vapn")
-    names, total, submap = _symbol_table(m, params)
+    names, submap = _symbol_table(m)
+    total = names[RESERVED_TOTAL]
     place_vars = [names[p.name] for p in m.places]
-    unpack = ", ".join(place_vars) if len(place_vars) > 1 else place_vars[0] + ","
+    unpack = _targets(place_vars)
+    params = _targets([names[k] for k in m.params])
 
     weight_lines = []
     inflow = {p.name: [] for p in m.places}
@@ -142,8 +140,9 @@ def _build_vapn(m: PetriModel, params: dict):
     steps = "\n        ".join(step_exprs())
     news = ", ".join(f"_n{i}" for i in range(len(m.places)))
     src = f"""
-def _step(_mk, _dt):
+def _step(_mk, _dt, _p):
     ({unpack}) = _mk
+    ({params}) = _p
     _clips = 0
     if True:
         {total} = {" + ".join(place_vars)}
@@ -151,8 +150,9 @@ def _step(_mk, _dt):
         {steps}
     return ({news}), _clips
 
-def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0):
+def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0, _p):
     ({unpack}) = _mk
+    ({params}) = _p
     _clips = 0
     for _k in range(1, _nsteps + 1):
         {total} = {" + ".join(place_vars)}
@@ -171,10 +171,11 @@ def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0):
 
 def step_vapn(m: PetriModel, marking, dt: float, params=None):
     """One synchronous update of all places; returns the new marking."""
-    if dt <= 0:
+    if not dt > 0:
         raise SimError("dt must be positive")
-    stepper, _ = _compile(m, _merged(m, params), _build_vapn)
-    new, _clips = stepper(tuple(marking), dt)
+    p = _param_values(m, params)
+    stepper, _ = _compile(m, _build_vapn)
+    new, _clips = stepper(tuple(marking), dt, p)
     return new
 
 
@@ -185,28 +186,29 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
     Records every sample_every-th step plus the final state. A trailing
     partial step covers t_end when it is not a multiple of dt.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise SimError("dt must be positive")
     if sample_every < 1:
         raise SimError("sample_every must be >= 1")
-    stepper, runner = _compile(m, _merged(m, params), _build_vapn)
+    p = _param_values(m, params)
+    stepper, runner = _compile(m, _build_vapn)
     marking = tuple(marking0) if marking0 is not None else m.initial_marking()
     if len(marking) != len(m.places):
         raise SimError("marking length does not match the model")
 
     span = t_end - t0
-    if span < 0:
-        raise SimError("t_end is before t0")
+    if not 0 <= span < math.inf:
+        raise SimError("t_end must be finite and not before t0")
     nsteps = int(math.floor(span / dt + 1e-9))
     remainder = span - nsteps * dt
 
     times = [t0]
     markings = [marking]
     final, clips = runner(marking, nsteps, dt, sample_every,
-                          times.append, markings.append, t0)
+                          times.append, markings.append, t0, p)
     t = t0 + nsteps * dt
     if remainder > 1e-9 * dt:
-        final, c2 = stepper(final, remainder)
+        final, c2 = stepper(final, remainder, p)
         clips += c2
         t = t_end
     if times[-1] != t:
@@ -219,12 +221,14 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
 
 # -------------------------------------------------------------- stochastic
 
-def _build_spn(m: PetriModel, params: dict):
+def _build_spn(m: PetriModel):
     if m.kind != "spn":
         raise SimError(f"model {m.name} is not an spn")
-    names, total, submap = _symbol_table(m, params)
+    names, submap = _symbol_table(m)
+    total = names[RESERVED_TOTAL]
     place_vars = [names[p.name] for p in m.places]
-    unpack = ", ".join(place_vars) if len(place_vars) > 1 else place_vars[0] + ","
+    unpack = _targets(place_vars)
+    params = _targets([names[k] for k in m.params])
     idx = {p.name: i for i, p in enumerate(m.places)}
 
     rate_lines = []
@@ -248,8 +252,9 @@ def _build_spn(m: PetriModel, params: dict):
     total_line = f"{total} = {' + '.join(place_vars)}"
     rates = ",\n            ".join(rate_lines)
     src = f"""
-def _rates(_mk):
+def _rates(_mk, _p):
     ({unpack}) = _mk
+    ({params}) = _p
     {total_line}
     return ({rates},)
 """
@@ -267,11 +272,12 @@ def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
     early (the state is absorbing). The generator is seeded explicitly so a
     (model, seed, t_end) triple is reproducible bit for bit.
     """
-    if t_end < 0:
-        raise SimError("t_end must be non-negative")
-    if sample_dt <= 0:
+    if not 0 <= t_end < math.inf:
+        raise SimError("t_end must be finite and non-negative")
+    if not sample_dt > 0:
         raise SimError("sample_dt must be positive")
-    ratefn, deltas, tnames = _compile(m, _merged(m, params), _build_spn)
+    p = _param_values(m, params)
+    ratefn, deltas, tnames = _compile(m, _build_spn)
 
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
@@ -288,7 +294,7 @@ def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
     t = 0.0
     log = math.log
     while True:
-        rates = ratefn(marking)
+        rates = ratefn(marking, p)
         a0 = 0.0
         for j, r in enumerate(rates):
             if r < 0.0:

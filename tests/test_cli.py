@@ -79,6 +79,13 @@ def test_unknown_param_is_domain_error(capsys):
     assert code == 1 and "zeta" in err
 
 
+@pytest.mark.parametrize("param", ["beta=nan", "gamma=inf"])
+def test_non_finite_param_is_domain_error(capsys, param):
+    code, out, err = run(capsys, "r0", "--builtin", "sirs", "-p", param)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and param.split("=")[0] in err
+
+
 def test_unknown_builtin(capsys):
     code, _, err = run(capsys, "r0", "--builtin", "nope")
     assert code == 1 and "nope" in err
@@ -126,6 +133,13 @@ def test_simulate_rejects_bad_dt(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("dt,t_end", [("nan", "1"), ("0.5", "inf"), ("0.5", "nan")])
+def test_simulate_rejects_non_finite_dt_and_t_end(capsys, dt, t_end):
+    code, out, err = run(capsys, "simulate", "--builtin", "sirs",
+                         "--t-end", t_end, "--dt", dt)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_simulate_vapn_rejects_replicates(capsys):
     code, _, err = run(capsys, "simulate", "--builtin", "sirs",
                        "--t-end", "1", "--replicates", "3")
@@ -149,6 +163,14 @@ def test_simulate_spn_seed_from_environment(capsys, monkeypatch):
     _, out_flag, _ = run(capsys, "simulate", "--builtin", "sirs_spn",
                          "--t-end", "2", "--seed", "7")
     assert out_env == out_flag
+
+
+def test_simulate_bad_seed_in_environment_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("NGMPN_SEED", "abc")
+    code, out, err = run(capsys, "simulate", "--builtin", "sirs_spn",
+                         "--t-end", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "NGMPN_SEED" in err
 
 
 def test_simulate_replicates_to_files(tmp_path, capsys):
@@ -201,6 +223,19 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert main(argv + ["-o", str(b), "--jobs", "2"]) == 0
     capsys.readouterr()
     assert a.read_text() == b.read_text()
+
+
+def test_sweep_with_every_point_failed_exits_1(capsys):
+    # a horizon far too short for any point to plateau
+    code, out, err = run(capsys, "sweep", "--builtin", "sirs",
+                         "--grid", "beta=0.3:0.4:2", "-p", "delta=0",
+                         "--chunk-t", "2", "--max-t", "2", "--conv-tol", "1e-12")
+    assert code == 1
+    assert len(out.splitlines()) == 3
+    summary, message = err.splitlines()
+    assert json.loads(summary) == {"failures": 2, "max_rel_err": None,
+                                   "n_points": 2, "rrmse": None}
+    assert message.startswith("error: ")
 
 
 def test_sweep_requires_grid(capsys):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngmpn import ngm, sim
 from ngmpn.estimate import (EstimateError, SweepConfig, attack_rate_r0,
                             converged_run, estimate_replicates, rrmse, sweep)
 from ngmpn.modelzoo import builtin
+from ngmpn.petri import classify_transitions, net_flow, parse_model
 from ngmpn.sim import Trajectory
 
 # final sizes of ln(1/s) = r0*(1 - s) for the r0 values used below,
@@ -239,6 +241,8 @@ def test_sweep_records_per_point_failures():
     assert report.rows[0].error.startswith("EstimateError")
     assert report.rows[0].r0_hat is None
     assert math.isnan(report.rrmse)
+    assert report.summary()["rrmse"] is None
+    assert report.summary()["max_rel_err"] is None
 
 
 def test_sweep_summary_and_csv():
@@ -254,6 +258,51 @@ def test_sweep_summary_and_csv():
     assert lines[0] == "beta,r0_alg,r0_hat,rel_err"
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "0.3"
+
+
+SIR_SMALL = """\
+model sir_small kind=vapn
+param beta=0.3
+param gamma=0.1
+place S init=9999
+place I init=1 infected
+place R init=0
+trans infect
+trans recover
+arc S -> infect weight="beta*S*I/N"
+arc infect -> I weight="beta*S*I/N"
+arc I -> recover weight="gamma*I"
+arc recover -> R weight="gamma*I"
+"""
+
+
+def test_sweep_derives_parameter_free_work_once(monkeypatch):
+    m = parse_model(SIR_SMALL)
+    classified, flows = [], []
+    monkeypatch.setattr(ngm, "classify_transitions",
+                        lambda mm: classified.append(mm) or classify_transitions(mm))
+    monkeypatch.setattr(ngm, "net_flow",
+                        lambda mm, p: flows.append(p) or net_flow(mm, p))
+    grid = {"beta": [0.25, 0.3, 0.35, 0.4], "gamma": [0.08, 0.1, 0.12, 0.14]}
+    report = sweep(m, grid)
+    assert report.failures == 0 and len(report.rows) == 16
+    assert classified == [m]          # classification, scripts, Jacobians
+    assert flows == ["S", "R"]        # one DFE system
+    assert list(sim._compiled[m]) == ["_build_vapn"]   # one stepper
+
+
+def test_sweep_in_worker_processes_matches_serial():
+    m = parse_model(SIR_SMALL)
+    grid = {"beta": [0.25, 0.3, 0.4]}
+    serial = sweep(m, grid)
+    parallel = sweep(m, grid, jobs=2)
+    assert parallel.rows == serial.rows
+    assert parallel.summary() == serial.summary()
+
+
+def test_sweep_rejects_nonpositive_jobs():
+    with pytest.raises(EstimateError):
+        sweep(parse_model(SIR_SMALL), {"beta": [0.3]}, jobs=0)
 
 
 def test_sweep_rejects_empty_grid():

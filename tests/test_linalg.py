@@ -7,43 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngmpn.linalg import (SingularMatrixError, basic_solution, eigenvalues,
-                          invert, mat_mul, solve, spectral_radius_of)
+                          invert, mat_mul, spectral_radius_of)
 
 
 def square(n, rng, scale=5.0):
     return [[rng.uniform(-scale, scale) for _ in range(n)] for _ in range(n)]
-
-
-# -------------------------------------------------------------------- solve
-
-def test_solve_fixture():
-    a = [[2.0, 1.0], [1.0, 3.0]]
-    x = solve(a, [5.0, 10.0])
-    assert x[0] == pytest.approx(1.0, rel=1e-12)
-    assert x[1] == pytest.approx(3.0, rel=1e-12)
-
-
-def test_solve_needs_pivoting():
-    a = [[0.0, 1.0], [1.0, 0.0]]
-    assert solve(a, [2.0, 3.0]) == pytest.approx([3.0, 2.0])
-
-
-def test_solve_singular():
-    with pytest.raises(SingularMatrixError):
-        solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
-
-
-@given(st.integers(min_value=1, max_value=7), st.integers())
-@settings(max_examples=60, deadline=None)
-def test_solve_residual(n, seed):
-    rng = random.Random(seed)
-    a = square(n, rng)
-    if abs(np.linalg.det(np.array(a))) < 1e-3:
-        return
-    b = [rng.uniform(-5, 5) for _ in range(n)]
-    x = solve([row[:] for row in a], b[:])
-    res = np.array(a) @ np.array(x) - np.array(b)
-    assert float(np.max(np.abs(res))) < 1e-8
 
 
 # ------------------------------------------------------------------- invert

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from ngmpn.expr import to_text
-from ngmpn.modelzoo import builtin
+from ngmpn.modelzoo import builtin, oracle_r0, zoo_entry
 from ngmpn.ngm import (DfeError, NgmError, build_script_F, build_script_V,
-                       compute_dfe, jacobians_at_dfe, ngm_r0, spectral_radius)
+                       compute_dfe, ngm_r0, spectral_radius)
 from ngmpn.petri import classify_transitions, parse_model
 
 
@@ -124,13 +124,9 @@ def test_scripts_relapse_self_loop():
 # ----------------------------------------------------------------- Jacobians
 
 def test_jacobians_sirs():
-    m = builtin("sirs")
-    ft = classify_transitions(m)
-    dfe = compute_dfe(m)
-    F, V = jacobians_at_dfe(m, build_script_F(m, ft), build_script_V(m, ft),
-                            dfe)
-    assert F == [[pytest.approx(0.3, rel=1e-12)]]
-    assert V == [[pytest.approx(0.1, rel=1e-12)]]
+    res = ngm_r0(builtin("sirs"))
+    assert res.F == ((pytest.approx(0.3, rel=1e-12),),)
+    assert res.V == ((pytest.approx(0.1, rel=1e-12),),)
 
 
 def test_jacobians_seir_numbers():
@@ -166,6 +162,15 @@ def test_r0_seir_spot_point():
     res = ngm_r0(builtin("seir"), params={"beta": 0.5, "Pi": 1.0, "mu": 0.1,
                                           "eta": 0.3, "alpha": 0.2})
     assert res.r0 == pytest.approx(12.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("mu", [1e-7, 1e-6, 5e-6])
+def test_r0_nonlinear_tiny_mortality(mu):
+    # flows of order mu stay far below 1 at the starting marking; the DFE
+    # solve must still reach S = 1 rather than stop at S0
+    res = ngm_r0(builtin("nonlinear"), params={"mu": mu})
+    expected = oracle_r0(zoo_entry("nonlinear"), {"mu": mu})
+    assert abs(res.r0 - expected) <= 1e-9
 
 
 def test_r0_nonlinear_spot_point():
@@ -234,6 +239,12 @@ def test_unknown_parameter_rejected():
     with pytest.raises(NgmError) as err:
         ngm_r0(builtin("sirs"), params={"zeta": 1.0})
     assert "zeta" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_parameter_rejected(value):
+    with pytest.raises(NgmError, match="beta"):
+        ngm_r0(builtin("sirs"), params={"beta": value})
 
 
 def test_place_name_as_parameter_rejected():

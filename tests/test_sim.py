@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ngmpn import sim
 from ngmpn.expr import eval_expr, parse_expr
 from ngmpn.modelzoo import builtin
 from ngmpn.petri import parse_model
@@ -263,6 +264,45 @@ def test_spn_on_vapn_model_rejected():
 def test_vapn_on_spn_model_rejected():
     with pytest.raises(SimError):
         run_vapn(builtin("sirs_spn"), 1.0, dt=0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_param_rejected(value):
+    m = parse_model(SIR_DENSITY)
+    with pytest.raises(SimError, match="gamma"):
+        step_vapn(m, (990.0, 10.0, 0.0), 1.0, params={"gamma": value})
+    with pytest.raises(SimError, match="gamma"):
+        run_vapn(m, 1.0, dt=0.5, params={"gamma": value})
+    with pytest.raises(SimError, match="lam"):
+        run_spn(parse_model(BIRTH_SPN), 1.0, seed=1, params={"lam": value})
+
+
+def test_one_compiled_stepper_serves_every_parameter_point():
+    m = parse_model(SIR_DENSITY)
+    assert step_vapn(m, (990.0, 10.0, 0.0), 1.0) == (987.03, 11.969999999999999, 1.0)
+    assert step_vapn(m, (990.0, 10.0, 0.0), 1.0, params={"beta": 0.0}) \
+        == (990.0, 9.0, 1.0)
+    run_vapn(m, 2.0, dt=0.5, params={"gamma": 0.2})
+    assert list(sim._compiled[m]) == ["_build_vapn"]
+
+
+def test_names_clashing_with_generated_code_are_renamed():
+    # a place named like a builtin the stepper loop uses, parameters named
+    # like its locals, and a keyword
+    text = """\
+model clash kind=vapn
+param _dt=0.5
+param _p=0.25
+place range init=10 infected
+place lambda init=0
+trans t
+arc range -> t weight="_dt*_p*range"
+arc t -> lambda weight="_dt*_p*range"
+"""
+    m = parse_model(text)
+    assert step_vapn(m, (10.0, 0.0), 1.0) == (8.75, 1.25)
+    traj = run_vapn(m, 2.0, dt=1.0)
+    assert traj.final() == pytest.approx((10.0 * 0.875 ** 2, 10.0 - 10.0 * 0.875 ** 2))
 
 
 def test_dt_must_be_positive():
