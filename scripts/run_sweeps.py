@@ -60,10 +60,9 @@ def main():
         path = os.path.join(args.out, f"sweep_{name}.csv")
         with open(path, "w") as fh:
             report.write_csv(fh)
-        s = report.summary()
-        print(f"{name}: {s['n_points']} points in {elapsed:.1f}s  "
-              f"rrmse={s['rrmse']:.6f}  max_rel={s['max_rel_err']:.6f}  "
-              f"failures={s['failures']}  -> {path}")
+        print(f"{name}: {len(report.rows)} points in {elapsed:.1f}s  "
+              f"rrmse={report.rrmse:.6f}  max_rel={report.max_rel_err:.6f}  "
+              f"failures={report.failures}  -> {path}")
         worst = sorted((r for r in report.rows if r.rel_err is not None),
                        key=lambda r: -r.rel_err)[:3]
         for row in worst:

@@ -6,8 +6,9 @@ arc-weight nets) or integer multiplicities with a rate expression
 (stochastic nets). From the net alone the package derives the disease-free
 equilibrium, the transmission and transition matrices, and R0 as the
 spectral radius of F V^-1; simulators and an attack-rate estimator provide
-the numerical cross-check.
+the numerical cross-check. Every error the package raises is an NgmpnError.
 """
+from .errors import NgmpnError
 from .expr import (diff, eval_expr, free_symbols, parse_expr, simplify,
                    substitute, to_text)
 from .petri import (Arc, ModelError, PetriModel, Place, Transition,
@@ -25,6 +26,7 @@ from .modelzoo import builtin, oracle_r0, zoo_entries, zoo_entry, zoo_ids
 __version__ = "0.1.0"
 
 __all__ = [
+    "NgmpnError",
     "parse_expr", "eval_expr", "diff", "simplify", "substitute", "to_text",
     "free_symbols",
     "PetriModel", "Place", "Transition", "Arc", "ModelError",

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: validate | r0 | simulate | sweep | list-models. Exit codes:
-0 success, 1 domain error (failed validation, estimation or R0 errors, a
-sweep in which every grid point failed), 2 usage or I/O error. All numeric
-output uses 12 significant digits and JSON objects are emitted with sorted
-keys, so runs diff cleanly.
+0 success, 2 usage, model file or other I/O error, 1 any other package error
+(failed validation, estimation or R0 errors, a sweep in which every grid
+point failed). All numeric output uses 12 significant digits and JSON
+objects are emitted with sorted keys, so runs diff cleanly.
 """
 from __future__ import annotations
 
@@ -14,16 +14,15 @@ import math
 import os
 import sys
 
-from .estimate import EstimateError, SweepConfig, sweep
-from .expr import ExprError
-from .linalg import LinalgError
-from .modelzoo import ZooError, builtin, zoo_entries
-from .ngm import NgmError, ngm_r0
+from .errors import NgmpnError
+from .estimate import SweepConfig, sweep
+from .modelzoo import builtin, zoo_entries
+from .ngm import ngm_r0
 from .petri import ModelError, load_model, validate_assumptions
-from .sim import SimError, run_spn, run_spn_replicates, run_vapn
+from .sim import run_spn, run_spn_replicates, run_vapn
 
 
-class UsageError(Exception):
+class UsageError(NgmpnError):
     pass
 
 
@@ -38,7 +37,8 @@ def _round12(obj):
 
 
 def _emit_json(obj, fh=None):
-    (fh or sys.stdout).write(json.dumps(_round12(obj), sort_keys=True) + "\n")
+    text = json.dumps(_round12(obj), sort_keys=True, allow_nan=False)
+    (fh or sys.stdout).write(text + "\n")
 
 
 def _load(args):
@@ -164,9 +164,6 @@ def cmd_sweep(args) -> int:
     if not args.dt > 0:
         raise UsageError("--dt must be positive")
     grid = _parse_grid(args.grid)
-    for name in grid:
-        if name not in m.params:
-            raise NgmError(f"grid over unknown parameter: {name}")
     config = SweepConfig(dt=args.dt, chunk_t=args.chunk_t,
                          conv_tol=args.conv_tol, max_t=args.max_t,
                          susceptible=args.susceptible,
@@ -247,11 +244,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ModelError, FileNotFoundError) as exc:
+    except (UsageError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NgmError, EstimateError, SimError, ZooError, ExprError,
-            LinalgError) as exc:
+    except NgmpnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

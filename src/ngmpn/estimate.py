@@ -23,12 +23,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
+from .errors import NgmpnError
 from .ngm import ngm_r0
 from .petri import PetriModel
 from .sim import Trajectory, run_vapn
 
 
-class EstimateError(Exception):
+class EstimateError(NgmpnError):
     pass
 
 
@@ -43,11 +44,14 @@ class EstimateResult:
     flags: tuple = ()
 
 
+def _names(places) -> tuple:
+    """One place name or several, as a tuple."""
+    return (places,) if isinstance(places, str) else tuple(places)
+
+
 def _susceptible_indices(traj: Trajectory, susceptible_place):
-    names = (susceptible_place,) if isinstance(susceptible_place, str) \
-        else tuple(susceptible_place)
     idx = []
-    for nm in names:
+    for nm in _names(susceptible_place):
         if nm not in traj.places:
             raise EstimateError(f"no place named {nm!r} in trajectory")
         idx.append(traj.places.index(nm))
@@ -174,11 +178,12 @@ class SweepReport:
     config: SweepConfig
 
     def summary(self) -> dict:
-        """Aggregates as JSON-ready values; an error aggregate with no
-        successful point behind it is None."""
-        ok = self.failures < len(self.rows)
-        return {"rrmse": self.rrmse if ok else None,
-                "max_rel_err": self.max_rel_err if ok else None,
+        """Aggregates as JSON-ready values; an error aggregate that is not
+        finite (no successful point, or an infinite estimate) is None."""
+        def finite(v):
+            return v if math.isfinite(v) else None
+        return {"rrmse": finite(self.rrmse),
+                "max_rel_err": finite(self.max_rel_err),
                 "n_points": len(self.rows), "failures": self.failures}
 
     def write_csv(self, fh):
@@ -200,9 +205,7 @@ def converged_run(m: PetriModel, params: dict, config: SweepConfig) -> Trajector
     marking = tuple(config.marking0) if config.marking0 is not None \
         else m.initial_marking()
     n = config.n if config.n is not None else float(sum(marking))
-    names = (config.susceptible,) if isinstance(config.susceptible, str) \
-        else tuple(config.susceptible)
-    idx = [m.place_index(p) for p in names]
+    idx = [m.place_index(p) for p in _names(config.susceptible)]
     inf_idx = [m.place_index(p) for p in m.infected_places()]
 
     steps_per_chunk = max(1, int(round(config.chunk_t / config.dt)))
@@ -233,6 +236,22 @@ def converged_run(m: PetriModel, params: dict, config: SweepConfig) -> Trajector
                       metadata=dict(last.metadata))
 
 
+def _check_inputs(m: PetriModel, config: SweepConfig, points):
+    """Raise EstimateError for a config or grid point no point could run."""
+    for name in ("dt", "chunk_t", "max_t"):
+        if not 0 < getattr(config, name) < math.inf:
+            raise EstimateError(f"{name} must be positive and finite")
+    if not 0 <= config.conv_tol < math.inf:
+        raise EstimateError("conv_tol must be finite and >= 0")
+    if config.n is not None and not config.n > 0:
+        raise EstimateError("population size n must be positive")
+    for name in _names(config.susceptible):
+        if not m.is_place(name):
+            raise EstimateError(f"susceptible place {name!r} is not in model {m.name}")
+    for point in points:
+        m.merged_params({**config.overrides, **point}, EstimateError)
+
+
 def _sweep_rows(m: PetriModel, config: SweepConfig, n: float, points) -> list:
     """One SweepRow per grid point, in order; a point's failure is recorded
     in its row."""
@@ -249,7 +268,7 @@ def _sweep_rows(m: PetriModel, config: SweepConfig, n: float, points) -> list:
                 raise EstimateError(f"nonpositive algebraic R0: {r0_alg}")
             rel = abs(est.r0_hat - r0_alg) / r0_alg
             rows.append(SweepRow(point, r0_alg, est.r0_hat, rel))
-        except Exception as exc:  # recorded, not fatal to the sweep
+        except NgmpnError as exc:  # recorded, not fatal to the sweep
             rows.append(SweepRow(point, error=f"{type(exc).__name__}: {exc}"))
     return rows
 
@@ -259,8 +278,10 @@ def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None,
     """Estimator-vs-algebra comparison over a cartesian parameter grid.
 
     grid maps parameter names to value lists; rows come out in
-    grid-lexicographic order (first name slowest). Per-point failures are
-    recorded in the row and excluded from the aggregate errors. With jobs > 1
+    grid-lexicographic order (first name slowest). The grid, the config and
+    jobs are checked before any point runs and raise EstimateError; a package
+    error at a point is recorded in its row and excluded from the aggregate
+    errors, and any other exception propagates. With jobs > 1
     the grid is cut into that many contiguous chunks, each run in a worker
     process on its own copy of the model; the rows are the same as a serial
     run's.
@@ -276,6 +297,7 @@ def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None,
     n = config.n if config.n is not None else float(sum(marking))
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(grid[k] for k in names))]
+    _check_inputs(m, config, points)
 
     if jobs > 1 and len(points) > 1:
         size = -(-len(points) // jobs)

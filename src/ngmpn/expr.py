@@ -12,8 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .errors import NgmpnError
 
-class ExprError(Exception):
+
+class ExprError(NgmpnError):
     pass
 
 
@@ -385,7 +387,10 @@ def eval_expr(e: Expr, bindings: dict) -> float:
             raise EvalError("zero raised to a negative power")
         if base < 0.0 and c != int(c):
             raise EvalError("negative base with fractional exponent")
-        return base ** c
+        try:
+            return base ** c
+        except OverflowError:
+            raise EvalError(f"power {base:g}^{_fmt_number(c)} overflows") from None
     raise TypeError(f"not an expression node: {e!r}")
 
 

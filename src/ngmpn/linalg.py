@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 
+from .errors import NgmpnError
 
-class LinalgError(Exception):
+
+class LinalgError(NgmpnError):
     pass
 
 

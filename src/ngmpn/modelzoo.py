@@ -12,11 +12,12 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from .errors import NgmpnError
 from .expr import parse_expr, eval_expr
 from .petri import PetriModel, parse_model
 
 
-class ZooError(Exception):
+class ZooError(NgmpnError):
     pass
 
 

@@ -19,13 +19,14 @@ import weakref
 from dataclasses import dataclass
 
 from . import linalg
+from .errors import NgmpnError
 from .expr import (Expr, Symbol, Constant, Add, Neg, add_, simplify, substitute,
                    diff, eval_expr, parse_expr)
 from .petri import (PetriModel, FlowTable, Finding, RESERVED_TOTAL,
                     net_flow, classify_transitions, validate_assumptions)
 
 
-class NgmError(Exception):
+class NgmError(NgmpnError):
     pass
 
 

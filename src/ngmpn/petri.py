@@ -24,15 +24,17 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from .errors import NgmpnError
 from .expr import (Expr, Constant, Neg, Sub, add_, mul_, parse_expr,
-                   free_symbols, eval_expr, simplify, to_text, ExprSyntaxError)
+                   free_symbols, eval_expr, simplify, to_text, EvalError,
+                   ExprSyntaxError)
 
 RESERVED_TOTAL = "N"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
-class ModelError(Exception):
+class ModelError(NgmpnError):
     """Structural problem in a model definition."""
 
 
@@ -108,8 +110,8 @@ class PetriModel:
     def merged_params(self, params=None, error=ModelError) -> dict:
         """The model's parameters overridden by `params`, as floats.
 
-        An unknown name, a place name or a non-finite value raises `error`
-        naming the parameter.
+        An unknown name, a place name, or a value that is not a finite
+        number raises `error` naming the parameter.
         """
         merged = dict(self.params)
         for k, v in (params or {}).items():
@@ -117,7 +119,10 @@ class PetriModel:
                 if k in self._place_idx:
                     raise error(f"{k!r} is a place, not a parameter")
                 raise error(f"unknown parameter: {k}")
-            merged[k] = float(v)
+            try:
+                merged[k] = float(v)
+            except (TypeError, ValueError):
+                raise error(f"parameter {k} is not a number: {v!r}") from None
         for k, v in merged.items():
             if not math.isfinite(v):
                 raise error(f"parameter {k} is not finite: {v}")
@@ -375,8 +380,12 @@ def _validate_structure(m: PetriModel, arc_lines):
 
 
 def load_model(path) -> PetriModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_model(text)
 
 
 # --------------------------------------------------------------- net flow
@@ -496,7 +505,7 @@ def _sampled_sign(m: PetriModel, e: Expr, draws: int = 50) -> float:
         b[RESERVED_TOTAL] = sum(b.get(p.name, 1.0) for p in m.places)
         try:
             worst = max(worst, eval_expr(e, b))
-        except Exception:
+        except (EvalError, ArithmeticError):
             continue
     return worst
 

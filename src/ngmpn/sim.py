@@ -13,7 +13,9 @@ chosen proportionally to propensity. Markings stay integers throughout.
 Both steppers are compiled to Python source once per model and take the
 parameter values as an argument; the expression trees are transcribed factor
 by factor, so a compiled step reproduces a hand-written evaluation of the
-same weights bit for bit.
+same weights bit for bit. A fractional power is computed by math.pow, so a
+negative base raises instead of giving a complex number, and any arithmetic
+failure in the generated code is raised as SimError.
 """
 from __future__ import annotations
 
@@ -25,11 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Symbol, substitute, to_python
+from .errors import NgmpnError
+from .expr import Constant, Expr, Pow, Symbol, substitute, to_python
 from .petri import PetriModel, RESERVED_TOTAL, ModelError
 
 
-class SimError(Exception):
+class SimError(NgmpnError):
     pass
 
 
@@ -64,7 +67,7 @@ def _param_values(m: PetriModel, params) -> tuple:
 
 
 # names the generated code uses itself: its locals and the builtin range
-_INTERNAL = re.compile(r"(range|_(mk|dt|p|clips|k|nsteps|every|tapp|mapp|t0|[wn][0-9]+))$")
+_INTERNAL = re.compile(r"(range|_(mk|dt|p|pow|clips|k|nsteps|every|tapp|mapp|t0|[wn][0-9]+))$")
 
 
 def _pyname(name: str, taken: set) -> str:
@@ -90,6 +93,39 @@ def _compile(m: PetriModel, builder):
     if fns is None:
         fns = per_model[builder.__name__] = builder(m)
     return fns
+
+
+def _code(e: Expr) -> str:
+    """Python source of an expression for the generated code: integer powers
+    stay `**`, a fractional power becomes a call to `_pow` (math.pow), which
+    raises ValueError where `**` would return a complex number."""
+    return to_python(_real_powers(e))
+
+
+def _real_powers(e: Expr) -> Expr:
+    if isinstance(e, (Constant, Symbol)):
+        return e
+    if isinstance(e, Pow):
+        base = _real_powers(e.base)
+        if e.exponent == int(e.exponent):
+            return Pow(base, e.exponent)
+        # a symbol prints verbatim and binds like an atom, as a call does
+        return Symbol(f"_pow({to_python(base)}, {e.exponent!r})")
+    # every other node holds expressions or tuples of them, in field order
+    return type(e)(*(tuple(map(_real_powers, v)) if isinstance(v, tuple)
+                     else _real_powers(v) for v in vars(e).values()))
+
+
+def _generated(m: PetriModel, src: str, what: str) -> dict:
+    """The names the generated source defines."""
+    ns: dict = {"_pow": math.pow}
+    exec(compile(src, f"<{what} {m.name}>", "exec"), ns)
+    return ns
+
+
+def _arithmetic_error(m: PetriModel, exc: Exception) -> SimError:
+    return SimError(f"model {m.name}: {type(exc).__name__} while evaluating "
+                    f"its weights or rates: {exc}")
 
 
 def _symbol_table(m: PetriModel):
@@ -119,7 +155,7 @@ def _build_vapn(m: PetriModel):
     inflow = {p.name: [] for p in m.places}
     outflow = {p.name: [] for p in m.places}
     for k, arc in enumerate(m.arcs):
-        w = to_python(substitute(arc.weight, submap))
+        w = _code(substitute(arc.weight, submap))
         weight_lines.append(f"_w{k} = {w}")
         if arc.target in inflow:
             inflow[arc.target].append(f"_w{k}")
@@ -138,18 +174,8 @@ def _build_vapn(m: PetriModel):
 
     body = "\n        ".join(weight_lines)
     steps = "\n        ".join(step_exprs())
-    news = ", ".join(f"_n{i}" for i in range(len(m.places)))
+    news = _targets([f"_n{i}" for i in range(len(m.places))])
     src = f"""
-def _step(_mk, _dt, _p):
-    ({unpack}) = _mk
-    ({params}) = _p
-    _clips = 0
-    if True:
-        {total} = {" + ".join(place_vars)}
-        {body}
-        {steps}
-    return ({news}), _clips
-
 def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0, _p):
     ({unpack}) = _mk
     ({params}) = _p
@@ -162,11 +188,15 @@ def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0, _p):
         if _k % _every == 0:
             _tapp(_t0 + _k*_dt)
             _mapp(({news}))
-    return ({", ".join(place_vars)}), _clips
+    return ({unpack}), _clips
 """
-    ns: dict = {}
-    exec(compile(src, f"<vapn stepper {m.name}>", "exec"), ns)
-    return ns["_step"], ns["_run"]
+    return _generated(m, src, "vapn stepper")["_run"]
+
+
+def _one_step(runner, marking, dt: float, p):
+    """(new marking, clips) after one Euler step of the generated loop;
+    with _every = 2 > _nsteps = 1 it records no sample."""
+    return runner(marking, 1, dt, 2, None, None, 0.0, p)
 
 
 def step_vapn(m: PetriModel, marking, dt: float, params=None):
@@ -174,8 +204,11 @@ def step_vapn(m: PetriModel, marking, dt: float, params=None):
     if not dt > 0:
         raise SimError("dt must be positive")
     p = _param_values(m, params)
-    stepper, _ = _compile(m, _build_vapn)
-    new, _clips = stepper(tuple(marking), dt, p)
+    runner = _compile(m, _build_vapn)
+    try:
+        new, _clips = _one_step(runner, tuple(marking), dt, p)
+    except (ArithmeticError, ValueError) as exc:
+        raise _arithmetic_error(m, exc) from None
     return new
 
 
@@ -191,7 +224,7 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
     if sample_every < 1:
         raise SimError("sample_every must be >= 1")
     p = _param_values(m, params)
-    stepper, runner = _compile(m, _build_vapn)
+    runner = _compile(m, _build_vapn)
     marking = tuple(marking0) if marking0 is not None else m.initial_marking()
     if len(marking) != len(m.places):
         raise SimError("marking length does not match the model")
@@ -204,13 +237,16 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
 
     times = [t0]
     markings = [marking]
-    final, clips = runner(marking, nsteps, dt, sample_every,
-                          times.append, markings.append, t0, p)
-    t = t0 + nsteps * dt
-    if remainder > 1e-9 * dt:
-        final, c2 = stepper(final, remainder, p)
-        clips += c2
-        t = t_end
+    try:
+        final, clips = runner(marking, nsteps, dt, sample_every,
+                              times.append, markings.append, t0, p)
+        t = t0 + nsteps * dt
+        if remainder > 1e-9 * dt:
+            final, c2 = _one_step(runner, final, remainder, p)
+            clips += c2
+            t = t_end
+    except (ArithmeticError, ValueError) as exc:
+        raise _arithmetic_error(m, exc) from None
     if times[-1] != t:
         times.append(t)
         markings.append(final)
@@ -242,7 +278,7 @@ def _build_spn(m: PetriModel):
             change[idx[a.source]] = change.get(idx[a.source], 0) - a.mult
         for a in m.outputs_of(t.name):
             change[idx[a.target]] = change.get(idx[a.target], 0) + a.mult
-        code = to_python(expr)
+        code = _code(expr)
         if guards:
             rate_lines.append(f"({code}) if ({' and '.join(guards)}) else 0.0")
         else:
@@ -258,9 +294,8 @@ def _rates(_mk, _p):
     {total_line}
     return ({rates},)
 """
-    ns: dict = {}
-    exec(compile(src, f"<spn rates {m.name}>", "exec"), ns)
-    return ns["_rates"], tuple(deltas), tuple(t.name for t in m.transitions)
+    ratefn = _generated(m, src, "spn rates")["_rates"]
+    return ratefn, tuple(deltas), tuple(t.name for t in m.transitions)
 
 
 def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
@@ -293,34 +328,37 @@ def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
     next_sample = sample_dt
     t = 0.0
     log = math.log
-    while True:
-        rates = ratefn(marking, p)
-        a0 = 0.0
-        for j, r in enumerate(rates):
-            if r < 0.0:
-                raise SimError(
-                    f"negative propensity for transition {tnames[j]!r} at t={t:.6g}")
-            a0 += r
-        if a0 == 0.0:
-            break
-        t_next = t - log(1.0 - rand()) / a0
-        if t_next >= t_end:
-            break
-        while next_sample <= t_next and next_sample < t_end:
-            times.append(next_sample)
-            markings.append(tuple(marking))
-            next_sample += sample_dt
-        pick = rand() * a0
-        acc = 0.0
-        chosen = len(rates) - 1
-        for j, r in enumerate(rates):
-            acc += r
-            if pick < acc:
-                chosen = j
+    try:
+        while True:
+            rates = ratefn(marking, p)
+            a0 = 0.0
+            for j, r in enumerate(rates):
+                if r < 0.0:
+                    raise SimError(
+                        f"negative propensity for transition {tnames[j]!r} at t={t:.6g}")
+                a0 += r
+            if a0 == 0.0:
                 break
-        for place_i, dv in deltas[chosen]:
-            marking[place_i] += dv
-        t = t_next
+            t_next = t - log(1.0 - rand()) / a0
+            if t_next >= t_end:
+                break
+            while next_sample <= t_next and next_sample < t_end:
+                times.append(next_sample)
+                markings.append(tuple(marking))
+                next_sample += sample_dt
+            pick = rand() * a0
+            acc = 0.0
+            chosen = len(rates) - 1
+            for j, r in enumerate(rates):
+                acc += r
+                if pick < acc:
+                    chosen = j
+                    break
+            for place_i, dv in deltas[chosen]:
+                marking[place_i] += dv
+            t = t_next
+    except (ArithmeticError, ValueError) as exc:
+        raise _arithmetic_error(m, exc) from None
     while next_sample < t_end:
         times.append(next_sample)
         markings.append(tuple(marking))

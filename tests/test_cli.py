@@ -280,3 +280,89 @@ def test_round12_trims_float_noise():
     assert _round12(0.1 + 0.2) == 0.3
     assert _round12({"a": [1 / 3]}) == {"a": [0.333333333333]}
     assert repr(_round12(-0.0)) == "0.0"
+
+
+# ------------------------------------------------------------- no tracebacks
+
+def sir_net(kind="vapn", s_init=99, i_init=1, incidence="beta*S*I/N"):
+    """A three-place SIR net whose incidence term is given."""
+    if kind == "spn":
+        return f"""\
+model odd kind=spn
+param beta=0.3
+param gamma=0.1
+place S init={s_init}
+place I init={i_init} infected
+place R init=0
+trans infect rate="{incidence}"
+trans recover rate="gamma*I"
+arc S -> infect mult=1
+arc I -> infect mult=1
+arc infect -> I mult=2
+arc I -> recover mult=1
+arc recover -> R mult=1
+"""
+    return f"""\
+model odd kind=vapn
+param beta=0.3
+param gamma=0.1
+place S init={s_init}
+place I init={i_init} infected
+place R init=0
+trans infect
+trans recover
+arc S -> infect weight="{incidence}"
+arc infect -> I weight="{incidence}"
+arc I -> recover weight="gamma*I"
+arc recover -> R weight="gamma*I"
+"""
+
+
+NETS = {
+    "pow_overflow": sir_net(s_init="1e200", incidence="beta*S^2*I/N"),
+    "divzero_vapn": sir_net(incidence="beta*S/(I-I)"),
+    "divzero_spn": sir_net("spn", incidence="beta*S/(I-I)"),
+    "complex_power": sir_net(s_init=1, i_init=5, incidence="beta*(S-I)^0.5"),
+}
+
+# (argv with {dir} and {net} placeholders, exit code); each must end in one
+# "error:" line
+ERROR_CASES = {
+    "r0_directory": (["r0", "{dir}"], 2),
+    "r0_not_utf8": (["r0", "{dir}/latin1.pnet"], 2),
+    "output_is_directory": (["simulate", "--builtin", "sirs", "--t-end", "1",
+                             "-o", "{dir}"], 2),
+    "pow_overflow": (["r0", "{net}"], 1),
+    "divzero_vapn": (["simulate", "{net}", "--t-end", "1"], 1),
+    "divzero_spn": (["simulate", "{net}", "--t-end", "1", "--seed", "1"], 1),
+    "complex_power": (["simulate", "{net}", "--t-end", "1"], 1),
+    "unknown_susceptible": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
+                             "--susceptible", "Q"], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_bad_input_ends_in_one_error_line(case, tmp_path, capsys):
+    argv, expected = ERROR_CASES[case]
+    (tmp_path / "latin1.pnet").write_bytes(b"model x kind=vapn\n# caf\xe9\n")
+    net = tmp_path / "net.pnet"
+    net.write_text(NETS.get(case, ""))
+    argv = [a.format(dir=tmp_path, net=net) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out == ""                     # a sweep stops before any CSV row
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_sweep_summary_has_no_infinity(capsys):
+    # dt so coarse that the susceptibles run out: r0_hat is infinite
+    code, _, err = run(capsys, "sweep", "--builtin", "nonlinear",
+                       "--grid", "beta=50:50:1", "--dt", "30", "-p", "mu=0")
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    summary = json.loads(err, parse_constant=reject)
+    assert summary["rrmse"] is None and summary["max_rel_err"] is None
+    assert summary["failures"] == 0

@@ -308,3 +308,31 @@ def test_sweep_rejects_nonpositive_jobs():
 def test_sweep_rejects_empty_grid():
     with pytest.raises(EstimateError):
         sweep(builtin("sirs"), {})
+
+
+@pytest.mark.parametrize("config,grid", [
+    (SweepConfig(max_t=math.inf), {"beta": [0.3]}),
+    (SweepConfig(dt=0.0), {"beta": [0.3]}),
+    (SweepConfig(chunk_t=math.nan), {"beta": [0.3]}),
+    (SweepConfig(conv_tol=-1.0), {"beta": [0.3]}),
+    (SweepConfig(n=0.0), {"beta": [0.3]}),
+    (SweepConfig(susceptible=("S", "Q")), {"beta": [0.3]}),
+    (SweepConfig(overrides={"zeta": 1.0}), {"beta": [0.3]}),
+    (SweepConfig(), {"beta": [0.3, math.inf]}),
+    (SweepConfig(), {"beta": ["fast"]}),
+], ids=["max_t_inf", "dt_zero", "chunk_t_nan", "conv_tol_negative", "n_zero",
+        "unknown_susceptible", "unknown_override", "grid_inf", "grid_not_a_number"])
+def test_sweep_checks_inputs_before_any_point(config, grid, monkeypatch):
+    monkeypatch.setattr("ngmpn.estimate.ngm_r0", None)   # no point may run
+    with pytest.raises(EstimateError):
+        sweep(builtin("sirs"), grid, config)
+
+
+def test_sweep_lets_a_programming_error_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a failed point")
+
+    monkeypatch.setattr("ngmpn.estimate.attack_rate_r0", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        sweep(parse_model(SIR_SMALL), {"beta": [0.3]})
+

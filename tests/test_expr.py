@@ -136,6 +136,11 @@ def test_eval_domain_errors():
         eval_expr(parse_expr("0^(0 - 1)"), {})
 
 
+def test_eval_power_overflow_is_eval_error():
+    with pytest.raises(EvalError, match="overflows"):
+        eval_expr(parse_expr("S^2"), {"S": 1e200})
+
+
 # --------------------------------------------------------------- substitute
 
 def test_substitute_is_single_pass():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ngmpn.expr import eval_expr, to_text
-from ngmpn.petri import (ModelError, classify_transitions, net_flow,
+from ngmpn.petri import (ModelError, classify_transitions, load_model, net_flow,
                          parse_model, validate_assumptions)
 
 SIRS = """\
@@ -234,3 +234,16 @@ def test_finding_as_dict():
     f = validate_assumptions(parse_model(SIRS))[0]
     d = f.as_dict()
     assert set(d) == {"code", "status", "detail"}
+
+
+def test_load_model_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.pnet"
+    path.write_bytes(SIRS.encode() + b"# caf\xe9\n")
+    with pytest.raises(ModelError, match="UTF-8"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", ["fast", None, [0.3]])
+def test_merged_params_names_a_value_that_is_not_a_number(value):
+    with pytest.raises(ModelError, match="beta"):
+        parse_model(SIRS).merged_params({"beta": value})

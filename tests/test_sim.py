@@ -308,3 +308,58 @@ arc t -> lambda weight="_dt*_p*range"
 def test_dt_must_be_positive():
     with pytest.raises(SimError):
         run_vapn(builtin("sirs"), 1.0, dt=0.0)
+
+
+# ------------------------------------------------------ arithmetic failures
+
+DECAY = """\
+model decay kind=vapn
+param k=0.5
+place X init=4 infected
+place Y init=0
+trans t
+arc X -> t weight="WEIGHT"
+arc t -> Y weight="WEIGHT"
+"""
+
+
+def test_fractional_power_matches_eval_expr_bit_for_bit():
+    m = parse_model(DECAY.replace("WEIGHT", "k*(X - Y)^1.5"))
+    x, y = step_vapn(m, (4.0, 1.0), 0.1)
+    w = eval_expr(parse_expr("k*(X - Y)^1.5"), {"k": 0.5, "X": 4.0, "Y": 1.0})
+    assert (x, y) == (4.0 - 0.1 * w, 1.0 + 0.1 * w)
+
+
+@pytest.mark.parametrize("weight", ["k*(Y - X)^0.5", "k*X/(Y - Y)", "k*X^-1*Y^-1",
+                                    "X^1e3"])
+def test_weight_arithmetic_failure_is_sim_error(weight):
+    m = parse_model(DECAY.replace("WEIGHT", weight))
+    with pytest.raises(SimError, match="decay"):
+        step_vapn(m, (4.0, 0.0), 0.1)
+    with pytest.raises(SimError, match="decay"):
+        run_vapn(m, 0.35, dt=0.1)
+
+
+@pytest.mark.parametrize("rate", ["lam*(X - 1)^0.5", "lam/X", "(lam*10)^400"])
+def test_rate_arithmetic_failure_is_sim_error(rate):
+    m = parse_model(BIRTH_SPN.replace('rate="lam"', f'rate="{rate}"'))
+    with pytest.raises(SimError, match="birth"):
+        run_spn(m, 1.0, seed=1)
+
+
+def test_single_place_net_steps_and_runs():
+    m = parse_model("""\
+model one kind=vapn
+param g=0.5
+place I init=4 infected
+trans recover
+arc I -> recover weight="g*I"
+""")
+    assert step_vapn(m, (4.0,), 0.5) == (3.0,)
+    assert run_vapn(m, 1.0, dt=0.5).markings == ((4.0,), (3.0,), (2.25,))
+
+
+def test_place_named_like_the_power_helper_is_renamed():
+    m = parse_model(DECAY.replace("place X", "place _pow").replace("X", "_pow")
+                    .replace("WEIGHT", "k*_pow^0.5"))
+    assert step_vapn(m, (4.0, 0.0), 1.0) == (3.0, 1.0)
