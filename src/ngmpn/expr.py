@@ -9,6 +9,7 @@ treats it like any other symbol.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -171,7 +172,8 @@ class _Parser:
     """Recursive descent over: expr := term (('+'|'-') term)*,
     term := unary (('*'|'/') unary)*, unary := '-' unary | power,
     power := atom ('^' unary)?, atom := number | symbol | '(' expr ')'.
-    '^' is right-associative and its exponent must reduce to a number."""
+    '^' is right-associative and its exponent must reduce to a number.
+    Numbers and exponents must be finite."""
 
     def __init__(self, text: str):
         self.text = text
@@ -259,13 +261,19 @@ class _Parser:
             if names:
                 raise ExprSyntaxError(
                     f"exponent must be numeric, contains symbol {sorted(names)[0]!r}", off)
-            return Pow(base, eval_expr(exp_tree, {}))
+            exponent = eval_expr(exp_tree, {})
+            if not math.isfinite(exponent):
+                raise ExprSyntaxError(f"exponent is not finite: {exponent!r}", off)
+            return Pow(base, exponent)
         return base
 
     def atom(self) -> Expr:
         kind, val, off = self.take()
         if kind == "num":
-            return Constant(float(val))
+            value = float(val)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {val!r} is not finite", off)
+            return Constant(value)
         if kind == "name":
             return Symbol(val)
         if kind == "op" and val == "(":

@@ -6,19 +6,29 @@ current marking, and clips at zero (a clipped place scales its outflows just
 enough to stop at zero; the clip is counted on the trajectory). This is
 forward Euler whenever nothing clips.
 
-Stochastic nets fire one transition at a time: each enabled transition's rate
-is its propensity, waiting times are exponential, and the next event is
-chosen proportionally to propensity. Markings stay integers throughout.
+Stochastic nets fire one transition at a time (Gillespie's direct method):
+each enabled transition's rate is its propensity, waiting times are
+exponential, and the next event is chosen proportionally to propensity.
+Markings stay integers throughout. After an event only the propensities that
+read a place the event changed (in its rate or in an input-arc guard), or
+the total N when it changed, are recomputed (the dependency graph of Gibson
+& Bruck); the others keep their values, so which event fires, and every
+sampled marking, is as if all were recomputed. Time must advance: a run
+whose total propensity is not finite, or so large that the mean waiting
+time no longer changes t, raises SimError, as does a run that would record
+more than MAX_SAMPLES samples (checked before the run starts).
 
-Both steppers are compiled to Python source once per model and take the
-parameter values as an argument; the expression trees are transcribed factor
-by factor, so a compiled step reproduces a hand-written evaluation of the
-same weights bit for bit. A fractional power is computed by math.pow, so a
-negative base raises instead of giving a complex number, and any arithmetic
-failure in the generated code is raised as SimError.
+Both simulators compile their whole loop to Python source once per model and
+take the parameter values as an argument; the expression trees are
+transcribed factor by factor, so the compiled loop reproduces a hand-written
+evaluation of the same weights and rates bit for bit. A fractional power is
+computed by math.pow, so a negative base raises instead of giving a complex
+number, and any arithmetic failure in the generated code is raised as
+SimError.
 """
 from __future__ import annotations
 
+import itertools
 import keyword
 import math
 import re
@@ -28,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NgmpnError
-from .expr import Constant, Expr, Pow, Symbol, substitute, to_python
+from .expr import Constant, Expr, Pow, Symbol, free_symbols, substitute, to_python
 from .petri import PetriModel, RESERVED_TOTAL, ModelError
 
 
@@ -66,8 +76,22 @@ def _param_values(m: PetriModel, params) -> tuple:
     return tuple(m.merged_params(params, SimError).values())
 
 
-# names the generated code uses itself: its locals and the builtin range
-_INTERNAL = re.compile(r"(range|_(mk|dt|p|pow|clips|k|nsteps|every|tapp|mapp|t0|[wn][0-9]+))$")
+# the most samples a run records; at a few hundred bytes per sample a run
+# beyond it would exhaust the memory of a typical host
+MAX_SAMPLES = 10_000_000
+
+
+def _check_samples(count: float):
+    """Refuse a run that would record more than MAX_SAMPLES samples."""
+    if not count <= MAX_SAMPLES:
+        raise SimError(f"the run would record {count:.3g} samples, more than "
+                       f"{MAX_SAMPLES}; sample less often")
+
+
+# names the generated code uses itself: its locals, its helpers and the
+# builtin range
+_INTERNAL = re.compile(r"(range|_(mk|dt|p|pow|clips|k|nsteps|every|tapp|mapp|t0|[wnr][0-9]+"
+                       r"|a0|acc|pick|t|tn|tend|ns|sdt|draw|log|isfinite|negative|stalled))$")
 
 
 def _pyname(name: str, taken: set) -> str:
@@ -116,9 +140,9 @@ def _real_powers(e: Expr) -> Expr:
                      else _real_powers(v) for v in vars(e).values()))
 
 
-def _generated(m: PetriModel, src: str, what: str) -> dict:
-    """The names the generated source defines."""
-    ns: dict = {"_pow": math.pow}
+def _generated(m: PetriModel, src: str, what: str, **helpers) -> dict:
+    """The names the generated source defines; helpers are its globals."""
+    ns: dict = {"_pow": math.pow, **helpers}
     exec(compile(src, f"<{what} {m.name}>", "exec"), ns)
     return ns
 
@@ -223,15 +247,16 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
         raise SimError("dt must be positive")
     if sample_every < 1:
         raise SimError("sample_every must be >= 1")
+    span = t_end - t0
+    if not 0 <= span < math.inf:
+        raise SimError("t_end must be finite and not before t0")
+    _check_samples(span / dt / sample_every)
     p = _param_values(m, params)
     runner = _compile(m, _build_vapn)
     marking = tuple(marking0) if marking0 is not None else m.initial_marking()
     if len(marking) != len(m.places):
         raise SimError("marking length does not match the model")
 
-    span = t_end - t0
-    if not 0 <= span < math.inf:
-        raise SimError("t_end must be finite and not before t0")
     nsteps = int(math.floor(span / dt + 1e-9))
     remainder = span - nsteps * dt
 
@@ -263,39 +288,96 @@ def _build_spn(m: PetriModel):
     names, submap = _symbol_table(m)
     total = names[RESERVED_TOTAL]
     place_vars = [names[p.name] for p in m.places]
-    unpack = _targets(place_vars)
+    marking = f"({_targets(place_vars)})"
     params = _targets([names[k] for k in m.params])
-    idx = {p.name: i for i, p in enumerate(m.places)}
 
-    rate_lines = []
-    deltas = []
+    rates = []      # source of each propensity, guarded by its input arcs
+    depends = []    # names whose change can change each propensity
+    deltas = []     # place -> net token change of each transition
     for t in m.transitions:
-        expr = substitute(t.rate, submap)
-        guards = []
+        inputs = m.inputs_of(t.name)
         change: dict = {}
-        for a in m.inputs_of(t.name):
-            guards.append(f"{names[a.source]} >= {a.mult}")
-            change[idx[a.source]] = change.get(idx[a.source], 0) - a.mult
+        for a in inputs:
+            change[a.source] = change.get(a.source, 0) - a.mult
         for a in m.outputs_of(t.name):
-            change[idx[a.target]] = change.get(idx[a.target], 0) + a.mult
-        code = _code(expr)
-        if guards:
-            rate_lines.append(f"({code}) if ({' and '.join(guards)}) else 0.0")
-        else:
-            rate_lines.append(f"({code})")
-        deltas.append(tuple((i, dv) for i, dv in sorted(change.items()) if dv))
+            change[a.target] = change.get(a.target, 0) + a.mult
+        code = _code(substitute(t.rate, submap))
+        guards = " and ".join(f"{names[a.source]} >= {a.mult}" for a in inputs)
+        rates.append(f"({code}) if ({guards}) else 0.0" if guards else f"({code})")
+        depends.append(free_symbols(t.rate) | {a.source for a in inputs})
+        deltas.append({p.name: change[p.name] for p in m.places if change.get(p.name)})
 
-    total_line = f"{total} = {' + '.join(place_vars)}"
-    rates = ",\n            ".join(rate_lines)
+    def update(js):
+        """Recompute the listed propensities, then check them in order."""
+        return ([f"_r{j} = {rates[j]}" for j in js]
+                + [f"if _r{j} < 0.0: raise _negative({j}, _t)" for j in js])
+
+    # one branch per transition, flat (nested ifs would meet the parser's
+    # nesting limit) and with the last as the fallback when rounding leaves
+    # _pick at the total: move the tokens, then recompute only the
+    # propensities that read a place (or the total) the move changed
+    select = []
+    last = len(rates) - 1
+    for j, delta in enumerate(deltas):
+        net = sum(delta.values())
+        changed = set(delta) | ({RESERVED_TOTAL} if net else set())
+        body = [f"{names[name]} {'-' if dv < 0 else '+'}= {abs(dv)}"
+                for name, dv in (*delta.items(), (RESERVED_TOTAL, net)) if dv]
+        body += ["_t = _tn"]
+        body += update([k for k, deps in enumerate(depends) if deps & changed])
+        if j < last:
+            acc = "_acc" if j else "0.0"
+            select.append(f"{'el' if j else ''}if _pick < (_acc := {acc} + _r{j}):")
+        elif j:
+            select.append("else:")
+        select += ["    " * (last > 0) + line for line in body]
+
+    sep = "\n        "
     src = f"""
-def _rates(_mk, _p):
-    ({unpack}) = _mk
+def _run(_mk, _p, _draw, _tend, _sdt, _tapp, _mapp):
+    {marking} = _mk
     ({params}) = _p
-    {total_line}
-    return ({rates},)
+    {total} = {" + ".join(place_vars)}
+    _t = 0.0
+    _ns = _sdt
+    {sep[:-4].join(update(range(len(rates))))}
+    while True:
+        _a0 = {" + ".join(["0.0"] + [f"_r{j}" for j in range(len(rates))])}
+        if _a0 == 0.0:
+            break
+        _tn = _t - _log(1.0 - _draw()) / _a0
+        if _tn >= _tend:
+            break
+        if not _tn > _t:  # a uniform of 0 waits 0; a wait below ulp(t) stalls
+            if not _isfinite(_a0) or _t + 1.0 / _a0 == _t:
+                raise _stalled(_t, _a0)
+        while _ns <= _tn and _ns < _tend:
+            _tapp(_ns)
+            _mapp({marking})
+            _ns += _sdt
+        _pick = _draw() * _a0
+        {sep.join(select)}
+    return {marking}, _ns
 """
-    ratefn = _generated(m, src, "spn rates")["_rates"]
-    return ratefn, tuple(deltas), tuple(t.name for t in m.transitions)
+    tnames = tuple(t.name for t in m.transitions)
+    model_name = m.name     # the generated code must not keep the model alive
+
+    def negative(j, t):
+        return SimError(f"negative propensity for transition {tnames[j]!r} at t={t:.6g}")
+
+    def stalled(t, a0):
+        return SimError(f"model {model_name}: time stopped advancing at t={t:.6g}, "
+                        f"where the total propensity is {a0:.6g}")
+
+    return _generated(m, src, "spn run", _log=math.log, _isfinite=math.isfinite,
+                      _negative=negative, _stalled=stalled)["_run"]
+
+
+def _uniforms(rng):
+    """A function returning rng.random() draws one by one, taken from blocks:
+    a block of k PCG64 draws equals k scalar draws bit for bit."""
+    blocks = iter(lambda: rng.random(1024).tolist(), None)
+    return itertools.chain.from_iterable(blocks).__next__
 
 
 def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
@@ -304,68 +386,42 @@ def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
 
     States are recorded on the sample_dt grid plus the final time; between
     events the marking is constant. A zero total propensity ends the run
-    early (the state is absorbing). The generator is seeded explicitly so a
-    (model, seed, t_end) triple is reproducible bit for bit.
+    early (the state is absorbing); a run whose time stops advancing raises
+    SimError. The generator is seeded explicitly so a (model, seed, t_end)
+    triple is reproducible bit for bit.
     """
     if not 0 <= t_end < math.inf:
         raise SimError("t_end must be finite and non-negative")
     if not sample_dt > 0:
         raise SimError("sample_dt must be positive")
+    _check_samples(t_end / sample_dt)
     p = _param_values(m, params)
-    ratefn, deltas, tnames = _compile(m, _build_spn)
+    runner = _compile(m, _build_spn)
 
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
     rng = np.random.default_rng(seed)
-    rand = rng.random
 
-    marking = list(map(int, marking0 if marking0 is not None else m.initial_marking()))
+    marking = tuple(map(int, marking0 if marking0 is not None else m.initial_marking()))
+    if len(marking) != len(m.places):
+        raise SimError("marking length does not match the model")
     if any(v < 0 for v in marking):
         raise SimError("negative initial marking")
 
     times = [0.0]
-    markings = [tuple(marking)]
-    next_sample = sample_dt
-    t = 0.0
-    log = math.log
+    markings = [marking]
     try:
-        while True:
-            rates = ratefn(marking, p)
-            a0 = 0.0
-            for j, r in enumerate(rates):
-                if r < 0.0:
-                    raise SimError(
-                        f"negative propensity for transition {tnames[j]!r} at t={t:.6g}")
-                a0 += r
-            if a0 == 0.0:
-                break
-            t_next = t - log(1.0 - rand()) / a0
-            if t_next >= t_end:
-                break
-            while next_sample <= t_next and next_sample < t_end:
-                times.append(next_sample)
-                markings.append(tuple(marking))
-                next_sample += sample_dt
-            pick = rand() * a0
-            acc = 0.0
-            chosen = len(rates) - 1
-            for j, r in enumerate(rates):
-                acc += r
-                if pick < acc:
-                    chosen = j
-                    break
-            for place_i, dv in deltas[chosen]:
-                marking[place_i] += dv
-            t = t_next
+        marking, next_sample = runner(marking, p, _uniforms(rng), t_end, sample_dt,
+                                      times.append, markings.append)
     except (ArithmeticError, ValueError) as exc:
         raise _arithmetic_error(m, exc) from None
     while next_sample < t_end:
         times.append(next_sample)
-        markings.append(tuple(marking))
+        markings.append(marking)
         next_sample += sample_dt
     if times[-1] != t_end:
         times.append(t_end)
-        markings.append(tuple(marking))
+        markings.append(marking)
     return Trajectory(m.place_names(), tuple(times), tuple(markings),
                       rng_seed=seed,
                       metadata={"kind": "spn", "prng": "PCG64",

@@ -323,6 +323,8 @@ NETS = {
     "divzero_vapn": sir_net(incidence="beta*S/(I-I)"),
     "divzero_spn": sir_net("spn", incidence="beta*S/(I-I)"),
     "complex_power": sir_net(s_init=1, i_init=5, incidence="beta*(S-I)^0.5"),
+    "infinite_exponent": sir_net(incidence="beta*S*I^1e400"),
+    "infinite_number": sir_net(incidence="1e400*S"),
 }
 
 # (argv with {dir} and {net} placeholders, exit code); each must end in one
@@ -336,6 +338,13 @@ ERROR_CASES = {
     "divzero_vapn": (["simulate", "{net}", "--t-end", "1"], 1),
     "divzero_spn": (["simulate", "{net}", "--t-end", "1", "--seed", "1"], 1),
     "complex_power": (["simulate", "{net}", "--t-end", "1"], 1),
+    "infinite_exponent": (["r0", "{net}"], 2),
+    "infinite_number": (["simulate", "{net}", "--t-end", "1"], 2),
+    # refused before the sample lists are allocated
+    "too_many_samples_vapn": (["simulate", "--builtin", "sirs", "--t-end", "1",
+                               "--dt", "1e-300"], 1),
+    "too_many_samples_spn": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
+                              "--sample-dt", "1e-300", "--seed", "1"], 1),
     "unknown_susceptible": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
                              "--susceptible", "Q"], 1),
 }

@@ -115,6 +115,17 @@ def test_syntax_errors(text):
         parse_expr(text)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1e400*S", "not finite"),
+    ("I^1e400", "not finite"),
+    ("I^(1e200*1e200)", "exponent is not finite"),
+    ("I^(1e200*1e200 - 1e200*1e200)", "exponent is not finite"),
+])
+def test_non_finite_numbers_and_exponents_rejected(text, message):
+    with pytest.raises(ExprSyntaxError, match=message):
+        parse_expr(text)
+
+
 def test_syntax_error_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("a + * b")

@@ -52,11 +52,10 @@ EXPRS = {n: exprs(n) for n in range(2, 5)}  # built once: building is slow
 def nets(draw, kind):
     """Model text: 2-4 places, 1-2 of them infected, 1-3 transitions.
 
-    A vapn transition has up to two arcs in and out, at least one in all. An
-    spn transition takes tokens from one or two places and puts back at most
-    as many, so the token count never grows: an exact simulation of a net
-    whose counts can grow without bound may fire infinitely many events
-    before any horizon.
+    A transition has up to two arcs in and out, at least one in all; an spn
+    arc moves one or two tokens. Token counts can grow, so an spn run may
+    explode before its horizon, which must end in a SimError once time stops
+    advancing.
     """
     n = draw(st.integers(2, 4))
     places = [f"P{i}" for i in range(n)]
@@ -69,22 +68,13 @@ def nets(draw, kind):
         lines.append(f"place {p} init={init}" + (" infected" if p in infected else ""))
     arcs = []
     for k in range(draw(st.integers(1, 3))):
-        ins = draw(st.lists(st.sampled_from(places), min_size=kind == "spn",
-                            max_size=2, unique=True))
+        ins = draw(st.lists(st.sampled_from(places), max_size=2, unique=True))
         outs = draw(st.lists(st.sampled_from(places), min_size=not ins,
                              max_size=2, unique=True))
         if kind == "spn":
             lines.append(f'trans t{k} rate="{draw(EXPRS[n])}"')
-            budget = 0
-            for p in ins:
-                mult = draw(st.integers(1, 2))
-                budget += mult
-                arcs.append(f"arc {p} -> t{k} mult={mult}")
-            for p in outs:
-                if budget:
-                    mult = draw(st.integers(1, budget))
-                    budget -= mult
-                    arcs.append(f"arc t{k} -> {p} mult={mult}")
+            arcs += [f"arc {p} -> t{k} mult={draw(st.integers(1, 2))}" for p in ins]
+            arcs += [f"arc t{k} -> {p} mult={draw(st.integers(1, 2))}" for p in outs]
         else:
             lines.append(f"trans t{k}")
             arcs += [f'arc {p} -> t{k} weight="{draw(EXPRS[n])}"' for p in ins]

@@ -1,6 +1,9 @@
 import io
 import math
+import signal
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from ngmpn import sim
@@ -237,6 +240,185 @@ def test_spn_negative_rate_rejected():
     with pytest.raises(SimError) as err:
         run_spn(parse_model(text), 1.0, seed=1)
     assert "arrive" in str(err.value)
+
+
+# ---------------------------------------------- the compiled direct method
+
+def direct_method(m, t_end, seed, sample_dt=1.0):
+    """Gillespie's direct method as a plain loop over the rate list, with
+    rates evaluated by eval_expr and one scalar draw at a time: the reference
+    the compiled run must match bit for bit."""
+    names = m.place_names()
+    needs = [[(names.index(a.source), a.mult) for a in m.inputs_of(t.name)]
+             for t in m.transitions]
+    deltas = []
+    for t in m.transitions:
+        change = [0] * len(names)
+        for a in m.inputs_of(t.name):
+            change[names.index(a.source)] -= a.mult
+        for a in m.outputs_of(t.name):
+            change[names.index(a.target)] += a.mult
+        deltas.append([(i, dv) for i, dv in enumerate(change) if dv])
+
+    def ratefn(marking):
+        env = dict(m.params, N=sum(marking), **dict(zip(names, marking)))
+        return [eval_expr(t.rate, env) if all(marking[i] >= k for i, k in need)
+                else 0.0 for t, need in zip(m.transitions, needs)]
+
+    rand = np.random.default_rng(seed).random
+    marking = list(m.initial_marking())
+    times = [0.0]
+    markings = [tuple(marking)]
+    next_sample = sample_dt
+    t = 0.0
+    while True:
+        rates = ratefn(marking)
+        a0 = 0.0
+        for r in rates:
+            assert r >= 0.0
+            a0 += r
+        if a0 == 0.0:
+            break
+        t_next = t - math.log(1.0 - rand()) / a0
+        if t_next >= t_end:
+            break
+        while next_sample <= t_next and next_sample < t_end:
+            times.append(next_sample)
+            markings.append(tuple(marking))
+            next_sample += sample_dt
+        pick = rand() * a0
+        acc = 0.0
+        chosen = len(rates) - 1
+        for j, r in enumerate(rates):
+            acc += r
+            if pick < acc:
+                chosen = j
+                break
+        for place_i, dv in deltas[chosen]:
+            marking[place_i] += dv
+        t = t_next
+    while next_sample < t_end:
+        times.append(next_sample)
+        markings.append(tuple(marking))
+        next_sample += sample_dt
+    if times[-1] != t_end:
+        times.append(t_end)
+        markings.append(tuple(marking))
+    return tuple(times), tuple(markings)
+
+
+# S enters the rate of neither transition, only their guards: once S is
+# empty, neither may fire
+GUARD_ONLY = """\
+model guard kind=spn
+param mu=0.8
+param lam=0.3
+place S init=4 infected
+place R init=0
+trans arrive rate="lam"
+trans die rate="mu"
+trans pair rate="mu"
+arc arrive -> S mult=1
+arc S -> die mult=1
+arc die -> R mult=1
+arc S -> pair mult=2
+"""
+
+
+# frequency-dependent incidence in an open population: the total N changes
+OPEN_SIR = """\
+model open_sir kind=spn
+param beta=0.9
+param gamma=0.2
+param Pi=1.5
+param mu=0.05
+place S init=40
+place I init=4 infected
+place R init=0
+trans birth rate="Pi"
+trans infect rate="beta*S*I/N"
+trans recover rate="gamma*I"
+trans die rate="mu*R"
+arc birth -> S mult=1
+arc S -> infect mult=1
+arc I -> infect mult=1
+arc infect -> I mult=2
+arc I -> recover mult=1
+arc recover -> R mult=1
+arc R -> die mult=1
+"""
+
+
+@pytest.mark.parametrize("model,t_end,sample_dt", [
+    (builtin("seir_spn"), 300.0, 1.0),
+    (builtin("seir_spn"), 40.0, 0.7),
+    (parse_model(BIRTH_SPN), 20.0, 0.25),
+    (parse_model(GUARD_ONLY), 30.0, 1.0),
+    (parse_model(OPEN_SIR), 60.0, 0.5),
+], ids=["seir_spn", "seir_spn_fine", "birth", "guard_only", "open_sir"])
+def test_compiled_run_equals_the_direct_method_bit_for_bit(model, t_end, sample_dt):
+    for seed in (1, 2, 3, 20260814):
+        traj = run_spn(model, t_end, seed=seed, sample_dt=sample_dt)
+        assert (traj.times, traj.markings) == direct_method(model, t_end, seed, sample_dt)
+        assert all(v >= 0 for mk in traj.markings for v in mk)
+
+
+def test_block_draws_equal_scalar_draws():
+    k = 3 * 1024 + 5
+    rng = np.random.default_rng(99)
+    scalar = [rng.random() for _ in range(k)]
+    assert np.random.default_rng(99).random(k).tolist() == scalar
+    draw = sim._uniforms(np.random.default_rng(99))
+    assert [draw() for _ in range(k)] == scalar
+
+
+@contextmanager
+def time_limit(seconds):
+    """Turn a run that does not end into a failure after `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_run_that_explodes_stops_when_time_stops_advancing():
+    # dX/dt = X^3 from 5 reaches infinity at t = 0.02
+    m = parse_model(BIRTH_SPN.replace('rate="lam"', 'rate="lam*N^3"')
+                    .replace("init=0", "init=5"))
+    with time_limit(20), pytest.raises(SimError, match="time stopped advancing"):
+        run_spn(m, 1.0, seed=1)
+
+
+def test_nan_propensity_ends_in_sim_error():
+    m = parse_model(BIRTH_SPN.replace(
+        'rate="lam"', 'rate="lam*1e200*1e200 - lam*1e200*1e200 + X"'))
+    with time_limit(20), pytest.raises(SimError, match="time stopped advancing"):
+        run_spn(m, 1.0, seed=1)
+
+
+def test_net_without_transitions_is_absorbing():
+    m = parse_model("model still kind=spn\nplace X init=3 infected\n")
+    traj = run_spn(m, 2.0, seed=1)
+    assert traj.times == (0.0, 1.0, 2.0)
+    assert traj.markings == ((3,),) * 3
+
+
+def test_sample_count_is_bounded_before_any_run():
+    sirs, sirs_spn = builtin("sirs"), builtin("sirs_spn")
+    with pytest.raises(SimError, match="samples"):
+        run_vapn(sirs, 1.0, dt=1e-300)
+    with pytest.raises(SimError, match="samples"):
+        run_vapn(sirs, 1e300, dt=1e-300, sample_every=10 ** 9)
+    with pytest.raises(SimError, match="samples"):
+        run_spn(sirs_spn, 1.0, seed=1, sample_dt=1e-300)
+    # the bound is on samples, not steps: thinning makes a fine step legal
+    traj = run_vapn(sirs, 1.0, dt=1e-5, sample_every=10 ** 5)
+    assert traj.times == (0.0, 1.0)
 
 
 def test_replicates_reproducible_and_tagged():
