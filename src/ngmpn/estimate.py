@@ -40,7 +40,6 @@ class EstimateResult:
     s0: float
     s_inf: float
     n: float
-    ci95: tuple | None = None
     flags: tuple = ()
 
 
@@ -102,27 +101,6 @@ def attack_rate_r0(traj: Trajectory, susceptible_place, n: float,
                               flags=flags + ("susceptibles_exhausted",))
     r0_hat = math.log(s0 / s_inf) * n / (n - s_inf)
     return EstimateResult(r0_hat, ar, s0, s_inf, n, flags=flags)
-
-
-def estimate_replicates(trajs, susceptible_place, n: float,
-                        conv_tol: float = 1e-6) -> EstimateResult:
-    """Pooled estimate over replicate runs with a normal-theory 95% CI."""
-    if not trajs:
-        raise EstimateError("no replicates")
-    results = [attack_rate_r0(t, susceptible_place, n, conv_tol) for t in trajs]
-    hats = [r.r0_hat for r in results]
-    k = len(hats)
-    mean = sum(hats) / k
-    ci = None
-    if k > 1:
-        var = sum((h - mean) ** 2 for h in hats) / (k - 1)
-        half = 1.96 * math.sqrt(var / k)
-        ci = (mean - half, mean + half)
-    ar = sum(r.attack_rate for r in results) / k
-    s0 = sum(r.s0 for r in results) / k
-    s_inf = sum(r.s_inf for r in results) / k
-    flags = tuple(sorted(set(f for r in results for f in r.flags)))
-    return EstimateResult(mean, ar, s0, s_inf, n, ci95=ci, flags=flags)
 
 
 def rrmse(rows) -> float:

@@ -6,6 +6,13 @@ touching infected places into new-infection terms (script F) and transfer
 terms (script V), differentiate both with respect to the infected places at
 the DFE, and take the spectral radius of F V^-1.
 
+The split is one pass over the transitions, each classified by
+petri.classify_transitions: an infection transition contributes its signed
+net flow into each infected place to script F, and every other transition
+fills the cells of script V. Script F_i minus the sum of row i of script V
+is the net flow of infected place i, apart from transfer inflows that carry
+no infected input.
+
 Script F and script V are kept symbolic so they can be printed and inspected;
 the Jacobians are exact derivatives of those expressions, not finite
 differences. Parameters enter only when these expressions are evaluated, so
@@ -20,10 +27,10 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import NgmpnError
-from .expr import (Expr, Symbol, Constant, Add, Neg, add_, simplify, substitute,
-                   diff, eval_expr, parse_expr)
-from .petri import (PetriModel, FlowTable, Finding, RESERVED_TOTAL,
-                    net_flow, classify_transitions, validate_assumptions)
+from .expr import (Expr, Symbol, Constant, Add, Neg, Sub, add_, simplify,
+                   substitute, diff, eval_expr, parse_expr)
+from .petri import (PetriModel, Finding, RESERVED_TOTAL, _arc_term, net_flow,
+                    classify_transitions, validate_assumptions)
 
 
 class NgmError(NgmpnError):
@@ -104,9 +111,7 @@ def _work(m: PetriModel) -> _ModelWork:
     the model's lifetime."""
     w = _cache.get(m)
     if w is None:
-        flows = classify_transitions(m)
-        script_f = build_script_F(m, flows)
-        script_v = build_script_V(m, flows)
+        script_f, script_v = _split(m, classify_transitions(m))
         infected = m.infected_places()
         f_rows = [_expand_total(m, e) for e in script_f]
         v_rows = [_expand_total(m, add_(list(row))) for row in script_v]
@@ -247,70 +252,53 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
 
 # --------------------------------------------------- script F and script V
 
-def build_script_F(m: PetriModel, flows: FlowTable):
-    """New-infection inflow expression per infected place: the signed net
-    contribution of every infection-classified transition."""
-    out = []
-    for place in m.infected_places():
-        terms = [e.expr for e in flows.entries[place] if e.tag == "infection"]
-        out.append(add_(terms))
-    return tuple(out)
+def _split(m: PetriModel, classes: dict):
+    """Script F and script V, in one pass over the transitions.
 
-
-def build_script_V(m: PetriModel, flows: FlowTable):
-    """Transfer matrix of expressions over infected places.
-
-    Row i collects flows of infected place i: its outflows through transfer
-    transitions on the diagonal, minus inflows from source transitions and
-    self-loops; inflows received from another infected place j (the first
-    infected input of the carrying transition) appear negated at column j.
-    Transfer inflows with no infected input fall outside the split and are
-    ignored here.
+    An infection transition adds to script F, for each infected place it
+    touches, its signed net contribution there: inflow minus outflow, in arc
+    order. Every other transition fills script V, a matrix over the infected
+    places: a transfer puts its outflow from infected place i at (i, i) and
+    its inflow into infected place k, negated, at (k, j), where j is its
+    first infected input (so a self-loop nets out on the diagonal); a
+    source's inflow into k goes negated at (k, k). Transfer inflows with no
+    infected input fall outside the split and are ignored.
     """
-    from .petri import _arc_term
-    infected = list(m.infected_places())
+    infected = m.infected_places()
     pos = {name: i for i, name in enumerate(infected)}
+    f_terms = [[] for _ in infected]
     cells = [[[] for _ in infected] for _ in infected]
 
     for t in m.transitions:
-        cls = flows.classification[t.name]
-        if cls == "infection":
+        ins, outs = m.inputs_of(t.name), m.outputs_of(t.name)
+        if classes[t.name] == "infection":
+            for place, i in pos.items():
+                gain = [_arc_term(m, a) for a in outs if a.target == place]
+                loss = [_arc_term(m, a) for a in ins if a.source == place]
+                if gain and loss:
+                    f_terms[i].append(Sub(add_(gain), add_(loss)))
+                elif gain:
+                    f_terms[i].append(add_(gain))
+                elif loss:
+                    f_terms[i].append(Neg(add_(loss)))
             continue
-        outs = m.outputs_of(t.name)
-        if cls == "source":
+        if classes[t.name] == "source":
             for a in outs:
                 if a.target in pos:
-                    j = pos[a.target]
-                    cells[j][j].append(Neg(_arc_term(m, a)))
+                    k = pos[a.target]
+                    cells[k][k].append(Neg(_arc_term(m, a)))
             continue
-        ins = m.inputs_of(t.name)
-        carriers = []
-        for a in ins:
-            if a.source in pos and a.source not in carriers:
-                carriers.append(a.source)
-        for a in ins:
-            if a.source in pos:
-                i = pos[a.source]
-                cells[i][i].append(_arc_term(m, a))
-        if carriers:
-            col = pos[carriers[0]]
+        taken = [a for a in ins if a.source in pos]
+        for a in taken:
+            i = pos[a.source]
+            cells[i][i].append(_arc_term(m, a))
+        if taken:
+            col = pos[taken[0].source]
             for a in outs:
                 if a.target in pos:
                     cells[pos[a.target]][col].append(Neg(_arc_term(m, a)))
-    return tuple(tuple(add_(cell) for cell in row) for row in cells)
-
-
-def spectral_radius(k_matrix):
-    """Spectral radius of a numeric matrix with diagnostics about the
-    dominant eigenvalue (its real and imaginary parts and near-ties)."""
-    radius, dominant, eigs, tie = linalg.spectral_radius_of([list(r) for r in k_matrix])
-    diagnostics = {
-        "dominant_real": dominant.real,
-        "dominant_imag": dominant.imag,
-        "eigenvalues": [[ev.real, ev.imag] for ev in eigs],
-        "modulus_tie": tie,
-    }
-    return radius, diagnostics
+    return (tuple(add_(terms) for terms in f_terms),
+            tuple(tuple(add_(cell) for cell in row) for row in cells))
 
 
 # ----------------------------------------------------------------- driver
@@ -340,9 +328,15 @@ def ngm_r0(m: PetriModel, params=None, constraints=None) -> NgmResult:
         raise NgmError(f"transfer matrix is ill-conditioned (condition {cond:.3g})")
 
     K = linalg.mat_mul(F, Vinv)
-    r0, diagnostics = spectral_radius(K)
-    diagnostics["condition_V"] = cond
-    diagnostics["places"] = m.place_names()
+    r0, dominant, eigs, tie = linalg.spectral_radius_of(K)
+    diagnostics = {
+        "dominant_real": dominant.real,
+        "dominant_imag": dominant.imag,
+        "eigenvalues": [[ev.real, ev.imag] for ev in eigs],
+        "modulus_tie": tie,
+        "condition_V": cond,
+        "places": m.place_names(),
+    }
 
     neg_v = linalg.eigenvalues([[-v for v in row] for row in V])
     stable = all(ev.real < 0.0 for ev in neg_v)

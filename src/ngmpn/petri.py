@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NgmpnError
 from .expr import (Expr, Constant, Neg, Sub, add_, mul_, parse_expr,
@@ -419,64 +419,27 @@ def net_flow(m: PetriModel, place: str) -> Expr:
 
 # ----------------------------------------------------- flow classification
 
-@dataclass(frozen=True)
-class FlowEntry:
-    transition: str
-    expr: Expr   # signed net contribution of this transition to the place
-    tag: str     # infection | source | transfer-in | transfer-out
+def classify_transitions(m: PetriModel) -> dict:
+    """Transition name -> infection | transfer | source.
 
-
-@dataclass(frozen=True)
-class FlowTable:
-    classification: dict  # transition name -> infection | transfer | source
-    entries: dict         # infected place name -> tuple of FlowEntry
-
-
-def classify_transition(m: PetriModel, t: Transition) -> str:
-    inputs = m.inputs_of(t.name)
-    if not inputs:
-        return "source"
-    if t.kind_override is not None:
-        return t.kind_override
-    infected = set(m.infected_places())
-    takes_noninfected = any(a.source not in infected for a in inputs)
-    feeds_infected = any(a.target in infected for a in m.outputs_of(t.name))
-    if takes_noninfected and feeds_infected:
-        return "infection"
-    return "transfer"
-
-
-def classify_transitions(m: PetriModel) -> FlowTable:
-    """Classify every transition and tabulate signed flows per infected place.
-
-    Entry expressions put a transition's inflow terms before its outflow
-    terms; summed per place they equal net_flow for that place.
+    A transition with no input arc is a source. Otherwise a class= override
+    wins; without one, a transition that takes from a non-infected place and
+    feeds an infected place is an infection, and any other is a transfer.
     """
-    classification = {t.name: classify_transition(m, t) for t in m.transitions}
-    entries = {}
-    for place in m.infected_places():
-        rows = []
-        for t in m.transitions:
-            ins = [a for a in m.outputs_of(t.name) if a.target == place]
-            outs = [a for a in m.inputs_of(t.name) if a.source == place]
-            if not ins and not outs:
-                continue
-            inflow = add_([_arc_term(m, a) for a in ins]) if ins else None
-            outflow = add_([_arc_term(m, a) for a in outs]) if outs else None
-            if inflow is not None and outflow is not None:
-                e: Expr = Sub(inflow, outflow)
-            elif inflow is not None:
-                e = inflow
-            else:
-                e = Neg(outflow)
-            cls = classification[t.name]
-            if cls in ("infection", "source"):
-                tag = cls
-            else:
-                tag = "transfer-in" if ins else "transfer-out"
-            rows.append(FlowEntry(t.name, e, tag))
-        entries[place] = tuple(rows)
-    return FlowTable(classification, entries)
+    infected = set(m.infected_places())
+    classes = {}
+    for t in m.transitions:
+        inputs = m.inputs_of(t.name)
+        if not inputs:
+            classes[t.name] = "source"
+        elif t.kind_override is not None:
+            classes[t.name] = t.kind_override
+        elif (any(a.source not in infected for a in inputs)
+              and any(a.target in infected for a in m.outputs_of(t.name))):
+            classes[t.name] = "infection"
+        else:
+            classes[t.name] = "transfer"
+    return classes
 
 
 # ----------------------------------------------------- structural checks
@@ -527,7 +490,7 @@ def validate_assumptions(m: PetriModel) -> list:
             "fatal", "violated",
             "no place is marked infected; threshold analysis is undefined"))
 
-    classification = {t.name: classify_transition(m, t) for t in m.transitions}
+    classification = classify_transitions(m)
 
     findings.append(Finding(
         "A1", "satisfied",

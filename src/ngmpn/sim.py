@@ -4,7 +4,8 @@ Deterministic nets advance all places synchronously: each step adds
 dt * (inflow - outflow) per place, computed from the arc weights at the
 current marking, and clips at zero (a clipped place scales its outflows just
 enough to stop at zero; the clip is counted on the trajectory). This is
-forward Euler whenever nothing clips.
+forward Euler whenever nothing clips. A run that would take more than
+MAX_STEPS steps raises SimError before it starts.
 
 Stochastic nets fire one transition at a time (Gillespie's direct method):
 each enabled transition's rate is its propensity, waiting times are
@@ -79,6 +80,9 @@ def _param_values(m: PetriModel, params) -> tuple:
 # the most samples a run records; at a few hundred bytes per sample a run
 # beyond it would exhaust the memory of a typical host
 MAX_SAMPLES = 10_000_000
+# the most Euler steps a vapn run takes; at 0.3-2.7 million steps per second
+# that is minutes to an hour of stepping
+MAX_STEPS = 1_000_000_000
 
 
 def _check_samples(count: float):
@@ -251,6 +255,9 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
     if not 0 <= span < math.inf:
         raise SimError("t_end must be finite and not before t0")
     _check_samples(span / dt / sample_every)
+    if not span / dt <= MAX_STEPS:
+        raise SimError(f"the run would take {span / dt:.3g} Euler steps, more "
+                       f"than {MAX_STEPS}; use a larger dt")
     p = _param_values(m, params)
     runner = _compile(m, _build_vapn)
     marking = tuple(marking0) if marking0 is not None else m.initial_marking()

@@ -345,6 +345,9 @@ ERROR_CASES = {
                                "--dt", "1e-300"], 1),
     "too_many_samples_spn": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
                               "--sample-dt", "1e-300", "--seed", "1"], 1),
+    # 1001 samples, but refused before any of its 1e12 Euler steps
+    "too_many_steps_vapn": (["simulate", "--builtin", "sirs", "--t-end", "1",
+                             "--dt", "1e-12", "--sample-every", "1000000000"], 1),
     "unknown_susceptible": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
                              "--susceptible", "Q"], 1),
 }

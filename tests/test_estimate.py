@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ngmpn import ngm, sim
 from ngmpn.estimate import (EstimateError, SweepConfig, attack_rate_r0,
-                            converged_run, estimate_replicates, rrmse, sweep)
+                            converged_run, rrmse, sweep)
 from ngmpn.modelzoo import builtin
 from ngmpn.petri import classify_transitions, net_flow, parse_model
 from ngmpn.sim import Trajectory
@@ -120,19 +120,6 @@ def test_estimator_input_validation():
         attack_rate_r0(Trajectory(("S",), (0.0,), ((1.0,),)), "S", 1.0)
     with pytest.raises(EstimateError):
         attack_rate_r0(traj, "S", 0.5)   # s0 above stated n
-
-
-# -------------------------------------------------------------- replicates
-
-def test_replicate_pooling_and_ci():
-    trajs = [plateau_traj(1.0, s) for s in (0.20, 0.2032, 0.21)]
-    est = estimate_replicates(trajs, "S", 1.0)
-    singles = [attack_rate_r0(t, "S", 1.0).r0_hat for t in trajs]
-    assert est.r0_hat == pytest.approx(sum(singles) / 3, rel=1e-12)
-    lo, hi = est.ci95
-    assert lo < est.r0_hat < hi
-    with pytest.raises(EstimateError):
-        estimate_replicates([], "S", 1.0)
 
 
 # ------------------------------------------------------------------- rrmse

@@ -1,12 +1,12 @@
 import math
+import random
 
 import pytest
 
-from ngmpn.expr import to_text
-from ngmpn.modelzoo import builtin, oracle_r0, zoo_entry
-from ngmpn.ngm import (DfeError, NgmError, build_script_F, build_script_V,
-                       compute_dfe, ngm_r0, spectral_radius)
-from ngmpn.petri import classify_transitions, parse_model
+from ngmpn.expr import eval_expr, to_text
+from ngmpn.modelzoo import builtin, oracle_r0, zoo_entry, zoo_ids
+from ngmpn.ngm import DfeError, NgmError, compute_dfe, ngm_r0
+from ngmpn.petri import net_flow, parse_model
 
 
 def rel(a, b):
@@ -80,45 +80,55 @@ def test_dfe_residual_reported_small_everywhere():
 # ---------------------------------------------------------------- script F/V
 
 def test_scripts_sirs():
-    m = builtin("sirs")
-    ft = classify_transitions(m)
-    assert [to_text(e) for e in build_script_F(m, ft)] == ["beta*S*I/N"]
-    assert [[to_text(c) for c in row] for row in build_script_V(m, ft)] == \
+    res = ngm_r0(builtin("sirs"))
+    assert [to_text(e) for e in res.script_f] == ["beta*S*I/N"]
+    assert [[to_text(c) for c in row] for row in res.script_v] == \
         [["gamma*I"]]
 
 
 def test_scripts_spn_twin_keeps_both_infection_terms():
-    m = builtin("sirs_spn")
-    ft = classify_transitions(m)
-    assert [to_text(e) for e in build_script_F(m, ft)] == \
+    res = ngm_r0(builtin("sirs_spn"))
+    assert [to_text(e) for e in res.script_f] == \
         ["2*beta*S*I/N - beta*S*I/N"]
 
 
 def test_scripts_seir():
-    m = builtin("seir")
-    ft = classify_transitions(m)
-    assert [to_text(e) for e in build_script_F(m, ft)] == ["beta*S*I", "0"]
-    assert [[to_text(c) for c in row] for row in build_script_V(m, ft)] == \
+    res = ngm_r0(builtin("seir"))
+    assert [to_text(e) for e in res.script_f] == ["beta*S*I", "0"]
+    assert [[to_text(c) for c in row] for row in res.script_v] == \
         [["eta*E + mu*E", "0"], ["-eta*E", "alpha*I + mu*I"]]
 
 
 def test_scripts_catalytic_exposure():
     # S + I -> E + I leaves I untouched; its net infection term cancels
-    m = builtin("seir_spn")
-    ft = classify_transitions(m)
-    assert [to_text(e) for e in build_script_F(m, ft)] == \
+    res = ngm_r0(builtin("seir_spn"))
+    assert [to_text(e) for e in res.script_f] == \
         ["beta*S*I", "beta*S*I - beta*S*I"]
 
 
 def test_scripts_relapse_self_loop():
     # the I_h -> relapse -> 2 I_h loop contributes delta - 2*delta = -delta
-    m = builtin("vectorborne")
-    ft = classify_transitions(m)
-    rows = [[to_text(c) for c in row] for row in build_script_V(m, ft)]
+    res = ngm_r0(builtin("vectorborne"))
+    rows = [[to_text(c) for c in row] for row in res.script_v]
     assert rows == [
         ["delta*I_h - 2*delta*I_h + sigma*I_h + (mu_h + alpha)*I_h", "0"],
         ["0", "mu_v*I_v"],
     ]
+
+
+def test_split_adds_up_to_net_flow():
+    # script F_i minus row i of script V is the net flow of infected place i
+    rng = random.Random(20261018)
+    for mid in zoo_ids():
+        m = builtin(mid)
+        res = ngm_r0(m)
+        for _ in range(20):
+            b = m.bindings_at(tuple(rng.uniform(0.5, 500.0) for _ in m.places))
+            for i, place in enumerate(m.infected_places()):
+                split = eval_expr(res.script_f[i], b) - sum(
+                    eval_expr(c, b) for c in res.script_v[i])
+                assert split == pytest.approx(eval_expr(net_flow(m, place), b),
+                                              rel=1e-12), (mid, place)
 
 
 # ----------------------------------------------------------------- Jacobians
@@ -213,13 +223,6 @@ def test_transfer_spectrum_checked_numerically():
         res = ngm_r0(builtin(mid))
         a5 = [f for f in res.findings if f.code == "A5"]
         assert a5 and a5[0].status == "satisfied", mid
-
-
-def test_spectral_radius_helper():
-    radius, diag = spectral_radius([[0.0, 4.0], [9.0, 0.0]])
-    assert radius == pytest.approx(6.0, rel=1e-12)
-    assert diag["dominant_real"] == pytest.approx(6.0)
-    assert diag["dominant_imag"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vapn_spn_twins_agree_entrywise():

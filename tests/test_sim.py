@@ -421,6 +421,17 @@ def test_sample_count_is_bounded_before_any_run():
     assert traj.times == (0.0, 1.0)
 
 
+def test_step_count_is_bounded_before_any_run(monkeypatch):
+    sirs = builtin("sirs")
+    # thinned to 1001 samples, but 1e12 Euler steps
+    with pytest.raises(SimError, match="Euler steps"):
+        run_vapn(sirs, 1.0, dt=1e-12, sample_every=10 ** 9)
+    monkeypatch.setattr(sim, "MAX_STEPS", 10)
+    assert run_vapn(sirs, 1.0, dt=0.1).times[-1] == 1.0
+    with pytest.raises(SimError, match="Euler steps"):
+        run_vapn(sirs, 1.1, dt=0.1)
+
+
 def test_replicates_reproducible_and_tagged():
     m = builtin("sirs_spn")
     runs = run_spn_replicates(m, 3.0, seed=5, replicates=3)
