@@ -9,6 +9,7 @@ objects are emitted with sorted keys, so runs diff cleanly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -191,7 +192,10 @@ def cmd_list_models(args) -> int:
     return 0
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The command-line parser, built on first use: parsing does not change
+    it, so one serves every call in the process."""
     ap = argparse.ArgumentParser(prog="ngmpn",
                                  description="Petri-net R0 toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -240,8 +244,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (UsageError, ModelError, OSError) as exc:

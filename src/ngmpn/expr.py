@@ -352,11 +352,6 @@ def to_text(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def to_python(e: Expr) -> str:
-    """Printed form usable as Python source ('^' becomes '**')."""
-    return to_text(e).replace("^", "**")
-
-
 # ---------------------------------------------------------------- evaluation
 
 def eval_expr(e: Expr, bindings: dict) -> float:

@@ -19,14 +19,24 @@ differences. Parameters enter only when these expressions are evaluated, so
 everything symbolic (classification, script F and V, their Jacobians, the
 DFE flow system and its Jacobian, the structural findings) is derived once
 per model and reused at every parameter point.
+
+The evaluation is compiled: once per model, the Jacobians of script F and
+script V and the DFE flows with their Jacobian are written as Python source
+by the code generator in codegen and compiled together, so a parameter
+point walks no expression tree (a DFE constraint given as text is still
+parsed and evaluated). The compiled functions give the bits eval_expr gives
+on the same values; where eval_expr would raise, they raise too, and the
+error is raised as NgmError naming the model.
 """
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import linalg
 from .errors import NgmpnError
+from .codegen import assignments, emit, generated, symbol_table, targets
 from .expr import (Expr, Symbol, Constant, Add, Neg, Sub, add_, simplify,
                    substitute, diff, eval_expr, parse_expr)
 from .petri import (PetriModel, Finding, RESERVED_TOTAL, _arc_term, net_flow,
@@ -79,18 +89,15 @@ class NgmResult:
         }
 
 
-@dataclass(frozen=True)
-class _ModelWork:
+class _ModelWork(NamedTuple):
     """What the R0 pipeline needs from a model before any parameter value is
     known."""
     script_f: tuple
     script_v: tuple
-    jf: tuple          # d(script F row i)/d(infected place j)
-    jv: tuple          # d(script V row sum i)/d(infected place j)
     findings: tuple    # A1-A4; A5 needs parameter values
     dfe_places: tuple  # non-infected places
-    dfe_flows: tuple   # their net flows with the infected places at zero
-    dfe_jac: tuple     # d(dfe_flows[i])/d(dfe_places[j])
+    fv: Callable       # generated _fv, see _r0_functions
+    dfe: Callable      # generated _dfe
 
 
 _cache: "weakref.WeakKeyDictionary[PetriModel, _ModelWork]" = weakref.WeakKeyDictionary()
@@ -120,11 +127,68 @@ def _work(m: PetriModel) -> _ModelWork:
         dfe_places = tuple(p.name for p in m.places if not p.infected)
         dfe_flows = tuple(simplify(substitute(_expand_total(m, net_flow(m, p)), zero))
                           for p in dfe_places)
-        w = _cache[m] = _ModelWork(
-            script_f, script_v,
-            _jacobian(f_rows, infected), _jacobian(v_rows, infected), findings,
-            dfe_places, dfe_flows, _jacobian(dfe_flows, dfe_places))
+        fns = _r0_functions(m, _jacobian(f_rows, infected), _jacobian(v_rows, infected),
+                            dfe_places, dfe_flows, _jacobian(dfe_flows, dfe_places))
+        w = _cache[m] = _ModelWork(script_f, script_v, findings, dfe_places,
+                                   fns["_fv"], fns["_dfe"])
     return w
+
+
+def _r0_functions(m: PetriModel, jf, jv, dfe_places, dfe_flows, dfe_jac) -> dict:
+    """Both functions the R0 path evaluates, compiled from one source.
+
+    `_fv(marking, params)` gives F and V, the Jacobians jf and jv at the
+    marking. `_dfe(values, params)`, given the value of every non-infected
+    place, pinned or not, gives the DFE flows, the flow scale (the largest
+    magnitude of a single flow term, or 1.0 when every term is zero) and the
+    flows' Jacobian dfe_jac. Each flow term is computed once, into a local
+    that both its flow and the scale read. Parameters come in declaration
+    order.
+    """
+    names = symbol_table(m)
+    params = targets([names[k] for k in m.params])
+
+    def matrix(rows, sums):
+        return "[" + ", ".join("[" + ", ".join(emit(c, names, sums) for c in row) + "]"
+                               for row in rows) + "]"
+
+    fv_sums: dict = {}
+    fv = f"{matrix(jf, fv_sums)}, {matrix(jv, fv_sums)}"
+    dfe_sums: dict = {}
+    terms, flows, scale = [], [], []
+    for eq in dfe_flows:
+        refs = []
+        for t in (eq.terms if isinstance(eq, Add) else (eq,)):
+            refs.append(f"_t{len(scale)}")
+            terms.append(f"{refs[-1]} = {emit(t, names, dfe_sums)}")
+            scale.append(f"abs({refs[-1]})")
+        flows.append(" + ".join(["0.0"] + refs) if isinstance(eq, Add) else refs[0])
+    jac = matrix(dfe_jac, dfe_sums)
+    sep = "\n    "
+    src = f"""
+def _fv(_mk, _p):
+    ({targets([names[p.name] for p in m.places])}) = map(float, _mk)
+    ({params}) = map(float, _p)
+    {sep.join(assignments(fv_sums))}
+    return {fv}
+
+def _dfe(_x, _p):
+    ({targets([names[p] for p in dfe_places])}) = map(float, _x)
+    ({params}) = map(float, _p)
+    {sep.join(assignments(dfe_sums) + terms)}
+    return [{", ".join(flows)}], max([{", ".join(["0.0"] + scale)}]) or 1.0, {jac}
+"""
+    return generated(src, f"R0 functions {m.name}")
+
+
+def _evaluate(m: PetriModel, fn, *args):
+    """One of the model's generated functions at a point; an arithmetic
+    failure there is raised as NgmError naming the model."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        raise NgmError(f"model {m.name}: {type(exc).__name__} while evaluating "
+                       f"its flows: {exc}") from None
 
 
 # --------------------------------------------------------------------- DFE
@@ -158,44 +222,37 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
                 value = eval_expr(parse_expr(value), bound)
             pinned[place] = float(value)
 
-    equations = w.dfe_flows
     cols = [j for j, name in enumerate(w.dfe_places) if name not in pinned]
     unknowns = [w.dfe_places[j] for j in cols]
-    jac = [[row[j] for j in cols] for row in w.dfe_jac]
-    fixed = {**bound, **pinned}
+    init = dict(zip(m.place_names(), m.initial_marking()))
+    values = [pinned.get(name, init[name]) for name in w.dfe_places]
+    pv = tuple(bound.values())
 
-    def flow_values(u):
-        b = dict(fixed)
-        b.update(zip(unknowns, u))
-        return [eval_expr(eq, b) for eq in equations], b
-
-    def flow_scale(b):
-        """The largest single flow term; 1.0 only when every term is zero."""
-        s = 0.0
-        for eq in equations:
-            terms = eq.terms if isinstance(eq, Add) else (eq,)
-            for t in terms:
-                s = max(s, abs(eval_expr(t, b)))
-        return s or 1.0
+    def flows_at(u):
+        """Flows, flow scale and the Jacobian's unknown columns at u."""
+        for j, v in zip(cols, u):
+            values[j] = v
+        f, scale, jac = _evaluate(m, w.dfe, values, pv)
+        if pinned:
+            jac = [[row[j] for j in cols] for row in jac]
+        return f, scale, jac
 
     def assemble(u, method, residual):
-        values = {**dict(zip(unknowns, u)), **pinned}
-        marking = tuple(values.get(p.name, 0.0) for p in m.places)
-        return DfeResult(marking, method, residual, tuple(notes))
+        marking = {**dict(zip(unknowns, u)), **pinned}
+        return DfeResult(tuple(marking.get(p.name, 0.0) for p in m.places),
+                         method, residual, tuple(notes))
 
-    init = dict(zip(m.place_names(), m.initial_marking()))
     u = [init[name] for name in unknowns]
 
     if not unknowns:
-        f, b = flow_values(u)
-        residual = max(map(abs, f), default=0.0) / flow_scale(b)
+        f, scale, _ = flows_at(u)
+        residual = max(map(abs, f), default=0.0) / scale
         if residual > tol:
             raise DfeError(f"annotated point is not an equilibrium (residual {residual:.3g})")
         return assemble(u, "annotated", residual)
 
-    _, b0 = flow_values(u)
-    j0 = [[eval_expr(c, b0) for c in row] for row in jac]
-    _, rank, _ = linalg.basic_solution(j0, [0.0] * len(equations))
+    f, scale, jac = flows_at(u)
+    _, rank, _ = linalg.basic_solution(jac, [0.0] * len(f))
 
     augmented = rank < len(unknowns)
     target = sum(p.init for p in m.places) - sum(pinned.values())
@@ -204,29 +261,26 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
     if augmented:
         notes.append("flow Jacobian is rank deficient; added token conservation")
 
-    def system(u):
-        f, b = flow_values(u)
+    def system(u, f, scale, jac):
+        """The Newton system at u, given the flows there."""
         if augmented:
-            f = f + [sum(u) - target]
-        return f, b
+            f.append(sum(u) - target)
+            jac.append([1.0] * len(unknowns))
+        return f, scale, jac
 
-    f, b = system(u)
+    f, scale, jac = system(u, f, scale, jac)
     res = max(map(abs, f), default=0.0)
     for _ in range(max_iter):
-        scale = flow_scale(b)
         if res <= tol * scale:
             break
-        jm = [[eval_expr(c, b) for c in row] for row in jac]
-        if augmented:
-            jm.append([1.0] * len(unknowns))
-        step, _, _ = linalg.basic_solution(jm, [-v for v in f])
+        step, _, _ = linalg.basic_solution(jac, [-v for v in f])
         alpha = 1.0
         while alpha > 2.0 ** -30:
             u_try = [ui + alpha * si for ui, si in zip(u, step)]
-            f_try, b_try = system(u_try)
+            f_try, scale_try, jac_try = system(u_try, *flows_at(u_try))
             res_try = max(map(abs, f_try), default=0.0)
             if res_try < res or res_try <= tol * scale:
-                u, f, b, res = u_try, f_try, b_try, res_try
+                u, f, scale, jac, res = u_try, f_try, scale_try, jac_try, res_try
                 break
             alpha /= 2.0
         else:
@@ -243,8 +297,8 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
             notes.append(f"snapped tiny negative {unknowns[j]} to zero")
             u[j] = 0.0
 
-    fl, bf = flow_values(u)
-    residual = max(map(abs, fl), default=0.0) / flow_scale(bf)
+    fl, scale, _ = flows_at(u)
+    residual = max(map(abs, fl), default=0.0) / scale
     if residual > tol:
         raise DfeError(f"equilibrium residual {residual:.3g} exceeds tolerance")
     return assemble(u, method, residual)
@@ -316,9 +370,7 @@ def ngm_r0(m: PetriModel, params=None, constraints=None) -> NgmResult:
     w = _work(m)
     dfe = compute_dfe(m, constraints=constraints, params=bound)
 
-    b = m.bindings_at(dfe.marking, bound)
-    F = [[eval_expr(c, b) for c in row] for row in w.jf]
-    V = [[eval_expr(c, b) for c in row] for row in w.jv]
+    F, V = _evaluate(m, w.fv, dfe.marking, tuple(bound.values()))
 
     try:
         Vinv, cond = linalg.invert([row[:] for row in V])

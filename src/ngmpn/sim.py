@@ -20,27 +20,26 @@ time no longer changes t, raises SimError, as does a run that would record
 more than MAX_SAMPLES samples (checked before the run starts).
 
 Both simulators compile their whole loop to Python source once per model and
-take the parameter values as an argument; the expression trees are
-transcribed factor by factor, so the compiled loop reproduces a hand-written
-evaluation of the same weights and rates bit for bit. A fractional power is
-computed by math.pow, so a negative base raises instead of giving a complex
-number, and any arithmetic failure in the generated code is raised as
-SimError.
+take the parameter values as an argument. The weights and rates are written
+by codegen.emit, so each gives the bits eval_expr gives on the same marking;
+the vapn stepper computes each distinct weight and each distinct sum in the
+weights once per step. Where eval_expr would raise (a division by zero, a
+negative base under a fractional power, an overflowing power) the generated
+code raises too, and the error is raised as SimError naming the model.
 """
 from __future__ import annotations
 
 import itertools
-import keyword
 import math
-import re
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codegen import assignments, emit, generated, symbol_table, targets
 from .errors import NgmpnError
-from .expr import Constant, Expr, Pow, Symbol, free_symbols, substitute, to_python
-from .petri import PetriModel, RESERVED_TOTAL, ModelError
+from .expr import free_symbols
+from .petri import PetriModel, RESERVED_TOTAL
 
 
 class SimError(NgmpnError):
@@ -92,24 +91,6 @@ def _check_samples(count: float):
                        f"{MAX_SAMPLES}; sample less often")
 
 
-# names the generated code uses itself: its locals, its helpers and the
-# builtin range
-_INTERNAL = re.compile(r"(range|_(mk|dt|p|pow|clips|k|nsteps|every|tapp|mapp|t0|[wnr][0-9]+"
-                       r"|a0|acc|pick|t|tn|tend|ns|sdt|draw|log|isfinite|negative|stalled))$")
-
-
-def _pyname(name: str, taken: set) -> str:
-    out = name
-    while keyword.iskeyword(out) or out in taken or _INTERNAL.match(out):
-        out += "_"
-    return out
-
-
-def _targets(names) -> str:
-    """Tuple-unpacking target list; a single name keeps its trailing comma."""
-    return ", ".join(names) + ("," if len(names) == 1 else "")
-
-
 _compiled: "weakref.WeakKeyDictionary[PetriModel, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -123,49 +104,9 @@ def _compile(m: PetriModel, builder):
     return fns
 
 
-def _code(e: Expr) -> str:
-    """Python source of an expression for the generated code: integer powers
-    stay `**`, a fractional power becomes a call to `_pow` (math.pow), which
-    raises ValueError where `**` would return a complex number."""
-    return to_python(_real_powers(e))
-
-
-def _real_powers(e: Expr) -> Expr:
-    if isinstance(e, (Constant, Symbol)):
-        return e
-    if isinstance(e, Pow):
-        base = _real_powers(e.base)
-        if e.exponent == int(e.exponent):
-            return Pow(base, e.exponent)
-        # a symbol prints verbatim and binds like an atom, as a call does
-        return Symbol(f"_pow({to_python(base)}, {e.exponent!r})")
-    # every other node holds expressions or tuples of them, in field order
-    return type(e)(*(tuple(map(_real_powers, v)) if isinstance(v, tuple)
-                     else _real_powers(v) for v in vars(e).values()))
-
-
-def _generated(m: PetriModel, src: str, what: str, **helpers) -> dict:
-    """The names the generated source defines; helpers are its globals."""
-    ns: dict = {"_pow": math.pow, **helpers}
-    exec(compile(src, f"<{what} {m.name}>", "exec"), ns)
-    return ns
-
-
 def _arithmetic_error(m: PetriModel, exc: Exception) -> SimError:
     return SimError(f"model {m.name}: {type(exc).__name__} while evaluating "
                     f"its weights or rates: {exc}")
-
-
-def _symbol_table(m: PetriModel):
-    """Python names for places, parameters and the total, plus the
-    substitution map applying the renames to expressions."""
-    taken: set = set()
-    names = {}
-    for name in [p.name for p in m.places] + list(m.params) + [RESERVED_TOTAL]:
-        names[name] = _pyname(name, taken)
-        taken.add(names[name])
-    submap = {k: Symbol(v) for k, v in names.items() if k != v}
-    return names, submap
 
 
 # ----------------------------------------------------------- deterministic
@@ -173,22 +114,26 @@ def _symbol_table(m: PetriModel):
 def _build_vapn(m: PetriModel):
     if m.kind != "vapn":
         raise SimError(f"model {m.name} is not a vapn")
-    names, submap = _symbol_table(m)
+    names = symbol_table(m)
     total = names[RESERVED_TOTAL]
     place_vars = [names[p.name] for p in m.places]
-    unpack = _targets(place_vars)
-    params = _targets([names[k] for k in m.params])
+    unpack = targets(place_vars)
+    params = targets([names[k] for k in m.params])
 
-    weight_lines = []
+    # each distinct weight and sum once: a transfer carries the same weight
+    # on its input and its output arc, and equal source gives equal bits
+    sums: dict = {}
+    weights: dict = {}
     inflow = {p.name: [] for p in m.places}
     outflow = {p.name: [] for p in m.places}
-    for k, arc in enumerate(m.arcs):
-        w = _code(substitute(arc.weight, submap))
-        weight_lines.append(f"_w{k} = {w}")
+    for arc in m.arcs:
+        code = emit(arc.weight, names, sums)
+        w = weights.setdefault(code, f"_w{len(weights)}")
         if arc.target in inflow:
-            inflow[arc.target].append(f"_w{k}")
+            inflow[arc.target].append(w)
         else:
-            outflow[arc.source].append(f"_w{k}")
+            outflow[arc.source].append(w)
+    weight_lines = assignments(sums) + [f"{w} = {code}" for code, w in weights.items()]
 
     def step_exprs():
         out = []
@@ -202,10 +147,10 @@ def _build_vapn(m: PetriModel):
 
     body = "\n        ".join(weight_lines)
     steps = "\n        ".join(step_exprs())
-    news = _targets([f"_n{i}" for i in range(len(m.places))])
+    news = targets([f"_n{i}" for i in range(len(m.places))])
     src = f"""
 def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0, _p):
-    ({unpack}) = _mk
+    ({unpack}) = map(float, _mk)
     ({params}) = _p
     _clips = 0
     for _k in range(1, _nsteps + 1):
@@ -218,7 +163,7 @@ def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0, _p):
             _mapp(({news}))
     return ({unpack}), _clips
 """
-    return _generated(m, src, "vapn stepper")["_run"]
+    return generated(src, f"vapn stepper {m.name}")["_run"]
 
 
 def _one_step(runner, marking, dt: float, p):
@@ -292,11 +237,11 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
 def _build_spn(m: PetriModel):
     if m.kind != "spn":
         raise SimError(f"model {m.name} is not an spn")
-    names, submap = _symbol_table(m)
+    names = symbol_table(m)
     total = names[RESERVED_TOTAL]
     place_vars = [names[p.name] for p in m.places]
-    marking = f"({_targets(place_vars)})"
-    params = _targets([names[k] for k in m.params])
+    marking = f"({targets(place_vars)})"
+    params = targets([names[k] for k in m.params])
 
     rates = []      # source of each propensity, guarded by its input arcs
     depends = []    # names whose change can change each propensity
@@ -308,7 +253,7 @@ def _build_spn(m: PetriModel):
             change[a.source] = change.get(a.source, 0) - a.mult
         for a in m.outputs_of(t.name):
             change[a.target] = change.get(a.target, 0) + a.mult
-        code = _code(substitute(t.rate, submap))
+        code = emit(t.rate, names)
         guards = " and ".join(f"{names[a.source]} >= {a.mult}" for a in inputs)
         rates.append(f"({code}) if ({guards}) else 0.0" if guards else f"({code})")
         depends.append(free_symbols(t.rate) | {a.source for a in inputs})
@@ -376,7 +321,7 @@ def _run(_mk, _p, _draw, _tend, _sdt, _tapp, _mapp):
         return SimError(f"model {model_name}: time stopped advancing at t={t:.6g}, "
                         f"where the total propensity is {a0:.6g}")
 
-    return _generated(m, src, "spn run", _log=math.log, _isfinite=math.isfinite,
+    return generated(src, f"spn run {m.name}", _log=math.log, _isfinite=math.isfinite,
                       _negative=negative, _stalled=stalled)["_run"]
 
 

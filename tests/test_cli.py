@@ -45,6 +45,16 @@ def test_r0_with_param_overrides(capsys):
     assert json.loads(out)["r0"] == 2.0
 
 
+def test_calls_in_one_process_share_no_state(capsys):
+    # one parser serves every call: -p values must not build up across calls
+    r0s = []
+    for params in (["-p", "beta=0.4", "-p", "gamma=0.2"], ["-p", "gamma=0.3"], []):
+        code, out, _ = run(capsys, "r0", "--builtin", "sirs", *params)
+        assert code == 0
+        r0s.append(json.loads(out)["r0"])
+    assert r0s == [2.0, 1.0, 3.0]
+
+
 def test_r0_from_model_file(tmp_path, capsys):
     path = tmp_path / "tiny.pnet"
     path.write_text(SIR_FILE)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ngmpn.expr import (Add, Constant, Div, EvalError, ExprSyntaxError, Mul,
                         Neg, Pow, Sub, Symbol, UnboundSymbolError, diff,
                         eval_expr, free_symbols, parse_expr, simplify,
-                        substitute, to_python, to_text)
+                        substitute, to_text)
 
 NAMES = ["S", "I", "beta", "gamma", "N", "x", "y"]
 
@@ -245,22 +245,3 @@ def test_simplify_preserves_value(e, b):
 def test_simplify_idempotent(e):
     s = simplify(e)
     assert to_text(simplify(s)) == to_text(s)
-
-
-# ---------------------------------------------------------------- to_python
-
-def test_to_python_pow_and_eval():
-    e = parse_expr("a^2 + b^0.5")
-    code = to_python(e)
-    assert code == "a**2 + b**0.5"
-    assert eval(code, {"a": 3.0, "b": 4.0}) == 11.0
-
-
-@given(exprs(), bindings())
-@settings(max_examples=200, deadline=None)
-def test_to_python_matches_eval(e, b):
-    try:
-        v = eval_expr(e, b)
-    except EvalError:
-        return
-    assert eval(to_python(e), dict(b)) == pytest.approx(v, rel=1e-12)
