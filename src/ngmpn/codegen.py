@@ -17,14 +17,18 @@ computes, bit for bit:
   negative base.
 
 Where eval_expr raises EvalError, the compiled code raises an ArithmeticError
-or ValueError instead (division by zero, an overflowing or invalid power);
-its callers turn those into their own package errors.
+or ValueError instead (division by zero, an overflowing or invalid power).
+Callers run generated functions through `call`, which raises those as the
+caller's package error naming the model, and keep what they build from a
+model with `per_model`, so every generated function is compiled once per
+model.
 """
 from __future__ import annotations
 
 import keyword
 import math
 import re
+import weakref
 
 from .expr import Add, Constant, Div, Mul, Neg, Pow, Sub, Symbol
 from .petri import PetriModel, RESERVED_TOTAL
@@ -142,3 +146,25 @@ def generated(src: str, what: str, **helpers) -> dict:
     ns: dict = {"_pow": _pow, "_inf": math.inf, "_nan": math.nan, **helpers}
     exec(compile(src, f"<{what}>", "exec"), ns)
     return ns
+
+
+_built: "weakref.WeakKeyDictionary[PetriModel, dict]" = weakref.WeakKeyDictionary()
+
+
+def per_model(m: PetriModel, build):
+    """build(m), built on the model's first use and kept for the model's
+    lifetime. What build returns must not refer to the model."""
+    built = _built.setdefault(m, {})
+    if build not in built:
+        built[build] = build(m)
+    return built[build]
+
+
+def call(m: PetriModel, error, fn, *args):
+    """fn(*args), for a function generated from model m; an arithmetic
+    failure there is raised as `error` naming the model."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        raise error(f"model {m.name}: {type(exc).__name__} while evaluating "
+                    f"its weights or rates: {exc}") from None

@@ -14,6 +14,14 @@ import math
 from .errors import NgmpnError
 
 
+# a pivot counts as zero below PIVOT_TOL times the largest entry; a
+# subdiagonal entry deflates below EIG_TOL times its diagonal neighbours, and
+# the QR iteration gives up after MAX_SWEEPS_FACTOR * n^2 sweeps
+PIVOT_TOL = 1e-10
+EIG_TOL = 1e-12
+MAX_SWEEPS_FACTOR = 100
+
+
 class LinalgError(NgmpnError):
     pass
 
@@ -82,7 +90,7 @@ def invert(a):
     return inv, cond
 
 
-def basic_solution(a, b, tol_factor: float = 1e-10):
+def basic_solution(a, b):
     """Row-echelon solve of a (possibly rank-deficient or non-square) system.
 
     Columns are examined in order; a column with no usable pivot stays free
@@ -93,7 +101,7 @@ def basic_solution(a, b, tol_factor: float = 1e-10):
     nrow = len(a)
     ncol = len(a[0]) if a else 0
     m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    tol = tol_factor * max(max_abs(a), 1e-30)
+    tol = PIVOT_TOL * max(max_abs(a), 1e-30)
     pivot_cols = []
     pivot_rows = []
     row = 0
@@ -214,12 +222,12 @@ def _eig2(a, b, c, d):
     return complex(tr / 2.0, q), complex(tr / 2.0, -q)
 
 
-def eigenvalues(a_in, tol: float = 1e-12, max_sweeps_factor: int = 100):
+def eigenvalues(a_in):
     """All eigenvalues of a real square matrix as complex numbers.
 
     Balances, reduces to Hessenberg form, then runs the Francis double-shift
     QR iteration with deflation. Raises EigenConvergenceError if a block
-    fails to deflate within max_sweeps_factor * n^2 sweeps.
+    fails to deflate within MAX_SWEEPS_FACTOR * n^2 sweeps.
     """
     n = len(a_in)
     if n == 0:
@@ -234,7 +242,7 @@ def eigenvalues(a_in, tol: float = 1e-12, max_sweeps_factor: int = 100):
     eigs = []
     hi = n - 1
     sweeps = 0
-    max_sweeps = max_sweeps_factor * n * n
+    max_sweeps = MAX_SWEEPS_FACTOR * n * n
     iters_since_deflation = 0
     while hi >= 0:
         if sweeps > max_sweeps:
@@ -246,7 +254,7 @@ def eigenvalues(a_in, tol: float = 1e-12, max_sweeps_factor: int = 100):
             s = abs(h[lo - 1][lo - 1]) + abs(h[lo][lo])
             if s == 0.0:
                 s = max_abs(h)
-            if abs(h[lo][lo - 1]) <= tol * s:
+            if abs(h[lo][lo - 1]) <= EIG_TOL * s:
                 h[lo][lo - 1] = 0.0
                 break
             lo -= 1
@@ -321,9 +329,9 @@ def _next_column(h, k, hi):
     return x, y, z
 
 
-def spectral_radius_of(a, tol: float = 1e-12):
+def spectral_radius_of(a):
     """(radius, dominant eigenvalue, all eigenvalues, tie flag)."""
-    eigs = eigenvalues(a, tol=tol)
+    eigs = eigenvalues(a)
     if not eigs:
         return 0.0, complex(0.0), [], False
     radius = max(abs(ev) for ev in eigs)

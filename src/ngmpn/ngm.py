@@ -20,27 +20,36 @@ everything symbolic (classification, script F and V, their Jacobians, the
 DFE flow system and its Jacobian, the structural findings) is derived once
 per model and reused at every parameter point.
 
-The evaluation is compiled: once per model, the Jacobians of script F and
-script V and the DFE flows with their Jacobian are written as Python source
-by the code generator in codegen and compiled together, so a parameter
-point walks no expression tree (a DFE constraint given as text is still
-parsed and evaluated). The compiled functions give the bits eval_expr gives
-on the same values; where eval_expr would raise, they raise too, and the
-error is raised as NgmError naming the model.
+The evaluation is compiled: once per model (codegen.per_model), the
+Jacobians of script F and script V and the DFE flows with their Jacobian are
+written as Python source by the code generator in codegen and compiled
+together, so a parameter point walks no expression tree (a DFE constraint
+given as text is still parsed and evaluated). The compiled functions give
+the bits eval_expr gives on the same values; where eval_expr would raise,
+they raise too, and codegen.call raises the error as NgmError naming the
+model.
 """
 from __future__ import annotations
 
-import weakref
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import linalg
 from .errors import NgmpnError
-from .codegen import assignments, emit, generated, symbol_table, targets
-from .expr import (Expr, Symbol, Constant, Add, Neg, Sub, add_, simplify,
+from .codegen import (assignments, call, emit, generated, per_model, symbol_table,
+                      targets)
+from .expr import (Expr, ExprError, Symbol, Constant, Add, Neg, Sub, add_, simplify,
                    substitute, diff, eval_expr, parse_expr)
 from .petri import (PetriModel, Finding, RESERVED_TOTAL, _arc_term, net_flow,
                     classify_transitions, validate_assumptions)
+
+
+# the DFE solve: the largest net flow relative to the flow scale that counts
+# as an equilibrium, and the most Newton iterations
+DFE_TOL = 1e-10
+DFE_MAX_ITER = 100
 
 
 class NgmError(NgmpnError):
@@ -100,9 +109,6 @@ class _ModelWork(NamedTuple):
     dfe: Callable      # generated _dfe
 
 
-_cache: "weakref.WeakKeyDictionary[PetriModel, _ModelWork]" = weakref.WeakKeyDictionary()
-
-
 def _expand_total(m: PetriModel, e: Expr) -> Expr:
     """Replace the reserved total-population symbol by the sum of places."""
     total = Add(tuple(Symbol(p.name) for p in m.places))
@@ -113,25 +119,21 @@ def _jacobian(rows, names) -> tuple:
     return tuple(tuple(diff(row, x) for x in names) for row in rows)
 
 
-def _work(m: PetriModel) -> _ModelWork:
-    """The model's parameter-free work, derived on first use and kept for
-    the model's lifetime."""
-    w = _cache.get(m)
-    if w is None:
-        script_f, script_v = _split(m, classify_transitions(m))
-        infected = m.infected_places()
-        f_rows = [_expand_total(m, e) for e in script_f]
-        v_rows = [_expand_total(m, add_(list(row))) for row in script_v]
-        findings = tuple(f for f in validate_assumptions(m) if f.code != "A5")
-        zero = {name: Constant(0.0) for name in infected}
-        dfe_places = tuple(p.name for p in m.places if not p.infected)
-        dfe_flows = tuple(simplify(substitute(_expand_total(m, net_flow(m, p)), zero))
-                          for p in dfe_places)
-        fns = _r0_functions(m, _jacobian(f_rows, infected), _jacobian(v_rows, infected),
-                            dfe_places, dfe_flows, _jacobian(dfe_flows, dfe_places))
-        w = _cache[m] = _ModelWork(script_f, script_v, findings, dfe_places,
-                                   fns["_fv"], fns["_dfe"])
-    return w
+def _derive(m: PetriModel) -> _ModelWork:
+    """The model's parameter-free work; per_model(m, _derive) does it once
+    per model."""
+    script_f, script_v = _split(m, classify_transitions(m))
+    infected = m.infected_places()
+    f_rows = [_expand_total(m, e) for e in script_f]
+    v_rows = [_expand_total(m, add_(list(row))) for row in script_v]
+    findings = tuple(f for f in validate_assumptions(m) if f.code != "A5")
+    zero = {name: Constant(0.0) for name in infected}
+    dfe_places = tuple(p.name for p in m.places if not p.infected)
+    dfe_flows = tuple(simplify(substitute(_expand_total(m, net_flow(m, p)), zero))
+                      for p in dfe_places)
+    fns = _r0_functions(m, _jacobian(f_rows, infected), _jacobian(v_rows, infected),
+                        dfe_places, dfe_flows, _jacobian(dfe_flows, dfe_places))
+    return _ModelWork(script_f, script_v, findings, dfe_places, fns["_fv"], fns["_dfe"])
 
 
 def _r0_functions(m: PetriModel, jf, jv, dfe_places, dfe_flows, dfe_jac) -> dict:
@@ -181,20 +183,9 @@ def _dfe(_x, _p):
     return generated(src, f"R0 functions {m.name}")
 
 
-def _evaluate(m: PetriModel, fn, *args):
-    """One of the model's generated functions at a point; an arithmetic
-    failure there is raised as NgmError naming the model."""
-    try:
-        return fn(*args)
-    except (ArithmeticError, ValueError) as exc:
-        raise NgmError(f"model {m.name}: {type(exc).__name__} while evaluating "
-                       f"its flows: {exc}") from None
-
-
 # --------------------------------------------------------------------- DFE
 
-def compute_dfe(m: PetriModel, constraints=None, params=None,
-                tol: float = 1e-10, max_iter: int = 100) -> DfeResult:
+def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
     """Disease-free equilibrium: infected places at zero, remaining places at
     a stationary point of their net flows.
 
@@ -203,11 +194,12 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
     places equals sum of initial markings) is appended; free places keep the
     basic solution favouring earlier declarations. Annotated values given in
     ``constraints`` (a mapping or pair list, values numeric or expression
-    text) pin their places. Fails loudly when the residual will not
-    converge or a component turns negative.
+    text) pin their places; a pin must be a finite, non-negative number. Fails
+    loudly when the residual will not converge or a component turns
+    negative.
     """
     bound = m.merged_params(params, NgmError)
-    w = _work(m)
+    w = per_model(m, _derive)
     notes = []
 
     pinned: dict = {}
@@ -219,7 +211,13 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
             if place not in w.dfe_places:
                 raise DfeError(f"cannot constrain infected place {place!r}")
             if isinstance(value, str):
-                value = eval_expr(parse_expr(value), bound)
+                try:
+                    value = eval_expr(parse_expr(value), bound)
+                except ExprError as exc:
+                    raise DfeError(f"constraint on {place!r}: {exc}") from None
+            if not (isinstance(value, numbers.Real) and 0.0 <= value < math.inf):
+                raise DfeError(f"constraint on {place!r} must be a finite, "
+                               f"non-negative number, not {value!r}")
             pinned[place] = float(value)
 
     cols = [j for j, name in enumerate(w.dfe_places) if name not in pinned]
@@ -232,7 +230,7 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
         """Flows, flow scale and the Jacobian's unknown columns at u."""
         for j, v in zip(cols, u):
             values[j] = v
-        f, scale, jac = _evaluate(m, w.dfe, values, pv)
+        f, scale, jac = call(m, NgmError, w.dfe, values, pv)
         if pinned:
             jac = [[row[j] for j in cols] for row in jac]
         return f, scale, jac
@@ -247,7 +245,7 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
     if not unknowns:
         f, scale, _ = flows_at(u)
         residual = max(map(abs, f), default=0.0) / scale
-        if residual > tol:
+        if residual > DFE_TOL:
             raise DfeError(f"annotated point is not an equilibrium (residual {residual:.3g})")
         return assemble(u, "annotated", residual)
 
@@ -270,8 +268,8 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
 
     f, scale, jac = system(u, f, scale, jac)
     res = max(map(abs, f), default=0.0)
-    for _ in range(max_iter):
-        if res <= tol * scale:
+    for _ in range(DFE_MAX_ITER):
+        if res <= DFE_TOL * scale:
             break
         step, _, _ = linalg.basic_solution(jac, [-v for v in f])
         alpha = 1.0
@@ -279,14 +277,14 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
             u_try = [ui + alpha * si for ui, si in zip(u, step)]
             f_try, scale_try, jac_try = system(u_try, *flows_at(u_try))
             res_try = max(map(abs, f_try), default=0.0)
-            if res_try < res or res_try <= tol * scale:
+            if res_try < res or res_try <= DFE_TOL * scale:
                 u, f, scale, jac, res = u_try, f_try, scale_try, jac_try, res_try
                 break
             alpha /= 2.0
         else:
             raise DfeError(f"Newton stalled at residual {res:.3g}")
     else:
-        raise DfeError(f"did not converge within {max_iter} iterations "
+        raise DfeError(f"did not converge within {DFE_MAX_ITER} iterations "
                        f"(residual {res:.3g})")
 
     value_scale = max([abs(v) for v in u] + [abs(v) for v in pinned.values()] + [1.0])
@@ -299,7 +297,7 @@ def compute_dfe(m: PetriModel, constraints=None, params=None,
 
     fl, scale, _ = flows_at(u)
     residual = max(map(abs, fl), default=0.0) / scale
-    if residual > tol:
+    if residual > DFE_TOL:
         raise DfeError(f"equilibrium residual {residual:.3g} exceeds tolerance")
     return assemble(u, method, residual)
 
@@ -367,13 +365,13 @@ def ngm_r0(m: PetriModel, params=None, constraints=None) -> NgmResult:
     if not m.infected_places():
         raise NgmError("model declares no infected places")
     bound = m.merged_params(params, NgmError)
-    w = _work(m)
+    w = per_model(m, _derive)
     dfe = compute_dfe(m, constraints=constraints, params=bound)
 
-    F, V = _evaluate(m, w.fv, dfe.marking, tuple(bound.values()))
+    F, V = call(m, NgmError, w.fv, dfe.marking, tuple(bound.values()))
 
     try:
-        Vinv, cond = linalg.invert([row[:] for row in V])
+        Vinv, cond = linalg.invert(V)
     except linalg.SingularMatrixError as ex:
         raise NgmError(f"transfer matrix is singular: {ex}") from None
     if cond > 1e14:

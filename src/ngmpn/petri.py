@@ -454,13 +454,17 @@ class Finding:
         return {"code": self.code, "status": self.status, "detail": self.detail}
 
 
-def _sampled_sign(m: PetriModel, e: Expr, draws: int = 50) -> float:
+# how many random positive bindings _sampled_sign tries
+SIGN_DRAWS = 50
+
+
+def _sampled_sign(m: PetriModel, e: Expr) -> float:
     """Largest value of e over random positive bindings (params fixed)."""
     import random as _random
     rng = _random.Random(20260814)
     names = sorted(free_symbols(e))
     worst = -float("inf")
-    for _ in range(draws):
+    for _ in range(SIGN_DRAWS):
         b = dict(m.params)
         for n in names:
             if n not in b:

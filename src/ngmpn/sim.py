@@ -17,26 +17,28 @@ the total N when it changed, are recomputed (the dependency graph of Gibson
 sampled marking, is as if all were recomputed. Time must advance: a run
 whose total propensity is not finite, or so large that the mean waiting
 time no longer changes t, raises SimError, as does a run that would record
-more than MAX_SAMPLES samples (checked before the run starts).
+more than MAX_SAMPLES samples (checked before the run starts) and a run that
+passes MAX_EVENTS events.
 
-Both simulators compile their whole loop to Python source once per model and
-take the parameter values as an argument. The weights and rates are written
-by codegen.emit, so each gives the bits eval_expr gives on the same marking;
-the vapn stepper computes each distinct weight and each distinct sum in the
-weights once per step. Where eval_expr would raise (a division by zero, a
-negative base under a fractional power, an overflowing power) the generated
-code raises too, and the error is raised as SimError naming the model.
+Both simulators compile their whole loop to Python source once per model
+(codegen.per_model) and take the parameter values as an argument. The
+weights and rates are written by codegen.emit, so each gives the bits
+eval_expr gives on the same marking; the vapn stepper computes each distinct
+weight and each distinct sum in the weights once per step. Where eval_expr
+would raise (a division by zero, a negative base under a fractional power,
+an overflowing power) the generated code raises too, and codegen.call raises
+the error as SimError naming the model.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codegen import assignments, emit, generated, symbol_table, targets
+from .codegen import (assignments, call, emit, generated, per_model, symbol_table,
+                      targets)
 from .errors import NgmpnError
 from .expr import free_symbols
 from .petri import PetriModel, RESERVED_TOTAL
@@ -82,6 +84,9 @@ MAX_SAMPLES = 10_000_000
 # the most Euler steps a vapn run takes; at 0.3-2.7 million steps per second
 # that is minutes to an hour of stepping
 MAX_STEPS = 1_000_000_000
+# the most events an spn run takes; at about 1.7 million events per second
+# that is about a minute of simulation
+MAX_EVENTS = 100_000_000
 
 
 def _check_samples(count: float):
@@ -91,22 +96,12 @@ def _check_samples(count: float):
                        f"{MAX_SAMPLES}; sample less often")
 
 
-_compiled: "weakref.WeakKeyDictionary[PetriModel, dict]" = weakref.WeakKeyDictionary()
-
-
-def _compile(m: PetriModel, builder):
-    """The builder's generated code for a model, built on its first use and
-    kept for the model's lifetime."""
-    per_model = _compiled.setdefault(m, {})
-    fns = per_model.get(builder.__name__)
-    if fns is None:
-        fns = per_model[builder.__name__] = builder(m)
-    return fns
-
-
-def _arithmetic_error(m: PetriModel, exc: Exception) -> SimError:
-    return SimError(f"model {m.name}: {type(exc).__name__} while evaluating "
-                    f"its weights or rates: {exc}")
+def _marking(m: PetriModel, marking) -> tuple:
+    """The marking as a tuple, one value per place of the model."""
+    marking = tuple(marking)
+    if len(marking) != len(m.places):
+        raise SimError("marking length does not match the model")
+    return marking
 
 
 # ----------------------------------------------------------- deterministic
@@ -166,10 +161,10 @@ def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0, _p):
     return generated(src, f"vapn stepper {m.name}")["_run"]
 
 
-def _one_step(runner, marking, dt: float, p):
+def _one_step(m: PetriModel, runner, marking, dt: float, p):
     """(new marking, clips) after one Euler step of the generated loop;
     with _every = 2 > _nsteps = 1 it records no sample."""
-    return runner(marking, 1, dt, 2, None, None, 0.0, p)
+    return call(m, SimError, runner, marking, 1, dt, 2, None, None, 0.0, p)
 
 
 def step_vapn(m: PetriModel, marking, dt: float, params=None):
@@ -177,11 +172,8 @@ def step_vapn(m: PetriModel, marking, dt: float, params=None):
     if not dt > 0:
         raise SimError("dt must be positive")
     p = _param_values(m, params)
-    runner = _compile(m, _build_vapn)
-    try:
-        new, _clips = _one_step(runner, tuple(marking), dt, p)
-    except (ArithmeticError, ValueError) as exc:
-        raise _arithmetic_error(m, exc) from None
+    runner = per_model(m, _build_vapn)
+    new, _clips = _one_step(m, runner, _marking(m, marking), dt, p)
     return new
 
 
@@ -204,26 +196,21 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
         raise SimError(f"the run would take {span / dt:.3g} Euler steps, more "
                        f"than {MAX_STEPS}; use a larger dt")
     p = _param_values(m, params)
-    runner = _compile(m, _build_vapn)
-    marking = tuple(marking0) if marking0 is not None else m.initial_marking()
-    if len(marking) != len(m.places):
-        raise SimError("marking length does not match the model")
+    runner = per_model(m, _build_vapn)
+    marking = _marking(m, marking0 if marking0 is not None else m.initial_marking())
 
     nsteps = int(math.floor(span / dt + 1e-9))
     remainder = span - nsteps * dt
 
     times = [t0]
     markings = [marking]
-    try:
-        final, clips = runner(marking, nsteps, dt, sample_every,
-                              times.append, markings.append, t0, p)
-        t = t0 + nsteps * dt
-        if remainder > 1e-9 * dt:
-            final, c2 = _one_step(runner, final, remainder, p)
-            clips += c2
-            t = t_end
-    except (ArithmeticError, ValueError) as exc:
-        raise _arithmetic_error(m, exc) from None
+    final, clips = call(m, SimError, runner, marking, nsteps, dt, sample_every,
+                        times.append, markings.append, t0, p)
+    t = t0 + nsteps * dt
+    if remainder > 1e-9 * dt:
+        final, c2 = _one_step(m, runner, final, remainder, p)
+        clips += c2
+        t = t_end
     if times[-1] != t:
         times.append(t)
         markings.append(final)
@@ -327,9 +314,14 @@ def _run(_mk, _p, _draw, _tend, _sdt, _tapp, _mapp):
 
 def _uniforms(rng):
     """A function returning rng.random() draws one by one, taken from blocks:
-    a block of k PCG64 draws equals k scalar draws bit for bit."""
-    blocks = iter(lambda: rng.random(1024).tolist(), None)
-    return itertools.chain.from_iterable(blocks).__next__
+    a block of k PCG64 draws equals k scalar draws bit for bit. An event
+    takes two draws, so the draw after about 2 * MAX_EVENTS raises SimError."""
+    def blocks():
+        for _ in range(-(-2 * MAX_EVENTS // 1024)):
+            yield rng.random(1024).tolist()
+        raise SimError(f"the run took more than {MAX_EVENTS} events; "
+                       f"do its token counts explode before t_end?")
+    return itertools.chain.from_iterable(blocks()).__next__
 
 
 def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
@@ -348,25 +340,21 @@ def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
         raise SimError("sample_dt must be positive")
     _check_samples(t_end / sample_dt)
     p = _param_values(m, params)
-    runner = _compile(m, _build_spn)
+    runner = per_model(m, _build_spn)
 
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
     rng = np.random.default_rng(seed)
 
-    marking = tuple(map(int, marking0 if marking0 is not None else m.initial_marking()))
-    if len(marking) != len(m.places):
-        raise SimError("marking length does not match the model")
+    marking = _marking(m, map(int, marking0 if marking0 is not None
+                              else m.initial_marking()))
     if any(v < 0 for v in marking):
         raise SimError("negative initial marking")
 
     times = [0.0]
     markings = [marking]
-    try:
-        marking, next_sample = runner(marking, p, _uniforms(rng), t_end, sample_dt,
-                                      times.append, markings.append)
-    except (ArithmeticError, ValueError) as exc:
-        raise _arithmetic_error(m, exc) from None
+    marking, next_sample = call(m, SimError, runner, marking, p, _uniforms(rng), t_end,
+                                sample_dt, times.append, markings.append)
     while next_sample < t_end:
         times.append(next_sample)
         markings.append(marking)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngmpn import ngm
-from ngmpn.codegen import assignments, emit, generated, targets
+from ngmpn.codegen import assignments, call, emit, generated, per_model, targets
 from ngmpn.expr import (Add, Constant, Div, EvalError, Mul, Pow, Sub, Symbol, add_,
                         diff, eval_expr, simplify, substitute, to_text)
 from ngmpn.ngm import NgmError
@@ -134,7 +134,7 @@ arc recover -> R weight="{text}"
 @SETTINGS
 def test_r0_functions_match_eval_expr(e, marking, params):
     m = parse_model(r0_net(to_text(e)))
-    w = ngm._work(m)
+    w = per_model(m, ngm._derive)
     total = {"N": Add(tuple(Symbol(p) for p in m.place_names()))}
     b = {**dict(zip(m.place_names(), marking)), **dict(zip(PARAMS, params))}
 
@@ -144,9 +144,9 @@ def test_r0_functions_match_eval_expr(e, marking, params):
     want = reference([diff(r, "I") for r in rows], b)
     if want is None:
         with pytest.raises(NgmError, match="gen"):
-            ngm._evaluate(m, w.fv, marking, params)
+            call(m, NgmError, w.fv, marking, params)
     else:
-        F, V = ngm._evaluate(m, w.fv, marking, params)
+        F, V = call(m, NgmError, w.fv, marking, params)
         assert hexes(F[0] + V[0]) == hexes(want)
 
     # the DFE flows of S and R at I = 0, their flow scale and Jacobian
@@ -159,9 +159,9 @@ def test_r0_functions_match_eval_expr(e, marking, params):
     want = reference(flows + terms + jac, b)
     if want is None:
         with pytest.raises(NgmError, match="gen"):
-            ngm._evaluate(m, w.dfe, values, params)
+            call(m, NgmError, w.dfe, values, params)
     else:
-        got_flows, scale, got_jac = ngm._evaluate(m, w.dfe, values, params)
+        got_flows, scale, got_jac = call(m, NgmError, w.dfe, values, params)
         want_scale = max([0.0] + [abs(v) for v in want[2:2 + len(terms)]]) or 1.0
         assert hexes(got_flows) == hexes(want[:2])
         assert hexes([scale]) == hexes([want_scale])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngmpn import ngm, sim
+from ngmpn import codegen, ngm, sim
 from ngmpn.estimate import (EstimateError, SweepConfig, attack_rate_r0,
                             converged_run, rrmse, sweep)
 from ngmpn.modelzoo import builtin
@@ -270,12 +270,17 @@ def test_sweep_derives_parameter_free_work_once(monkeypatch):
                         lambda mm: classified.append(mm) or classify_transitions(mm))
     monkeypatch.setattr(ngm, "net_flow",
                         lambda mm, p: flows.append(p) or net_flow(mm, p))
+    derived, derive = [], ngm._derive
+    monkeypatch.setattr(ngm, "_derive", lambda mm: derived.append(mm) or derive(mm))
+    built, build = [], sim._build_vapn
+    monkeypatch.setattr(sim, "_build_vapn", lambda mm: built.append(mm) or build(mm))
     grid = {"beta": [0.25, 0.3, 0.35, 0.4], "gamma": [0.08, 0.1, 0.12, 0.14]}
     report = sweep(m, grid)
     assert report.failures == 0 and len(report.rows) == 16
     assert classified == [m]          # classification, scripts, Jacobians
     assert flows == ["S", "R"]        # one DFE system
-    assert list(sim._compiled[m]) == ["_build_vapn"]   # one stepper
+    assert derived == [m] and built == [m]   # one R0 derivation, one stepper
+    assert list(codegen._built[m]) == [ngm._derive, sim._build_vapn]
 
 
 def test_sweep_in_worker_processes_matches_serial():

@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ngmpn.expr import eval_expr, to_text
 from ngmpn.modelzoo import builtin, oracle_r0, zoo_entry, zoo_ids
@@ -68,6 +71,12 @@ def test_dfe_constraint_on_infected_rejected():
 def test_dfe_constraint_unknown_place_rejected():
     with pytest.raises(DfeError):
         compute_dfe(builtin("sirs"), constraints={"Q": 1.0})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -5.0, None, "beta +", "1/0", "S"])
+def test_dfe_constraint_that_is_not_a_place_value_rejected(value):
+    with pytest.raises(DfeError, match="'S'"):
+        compute_dfe(builtin("sirs"), constraints={"S": value})
 
 
 def test_dfe_residual_reported_small_everywhere():
@@ -267,3 +276,21 @@ arc move -> B weight="k*A"
 """
     with pytest.raises(NgmError):
         ngm_r0(parse_model(text))
+
+
+# --------------------------------------------------------- threshold theorem
+
+@pytest.mark.parametrize("mid", zoo_ids())
+@given(data=st.data())
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+def test_threshold_theorem_on_manifest_ranges(mid, data):
+    # van den Driessche & Watmough, Theorem 2: the DFE is unstable exactly
+    # when R0 > 1, so the largest real part of the eigenvalues of F - V
+    # (numpy's, not the package's) has the sign of R0 - 1; every model gets
+    # draws on both sides of 1
+    params = data.draw(st.fixed_dictionaries(
+        {name: st.floats(spec.lo, spec.hi) for name, spec in zoo_entry(mid).params.items()}))
+    res = ngm_r0(builtin(mid), params=params)
+    assume(abs(res.r0 - 1.0) >= 1e-9)
+    growth = max(np.linalg.eigvals(np.array(res.F) - np.array(res.V)).real)
+    assert (growth > 0.0) == (res.r0 > 1.0), (res.r0, growth)

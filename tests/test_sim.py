@@ -6,7 +6,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ngmpn import sim
+from ngmpn import codegen, sim
 from ngmpn.expr import eval_expr, parse_expr
 from ngmpn.modelzoo import builtin
 from ngmpn.petri import parse_model
@@ -394,6 +394,16 @@ def test_run_that_explodes_stops_when_time_stops_advancing():
         run_spn(m, 1.0, seed=1)
 
 
+def test_run_past_max_events_ends_in_sim_error(monkeypatch):
+    # dX/dt = 2 X^2 from 5 reaches infinity at t = 0.1, but time keeps
+    # advancing for some 3e8 events; the event bound stops it first
+    monkeypatch.setattr(sim, "MAX_EVENTS", 10_000)
+    m = parse_model(BIRTH_SPN.replace('rate="lam"', 'rate="lam*N^2"')
+                    .replace("init=0", "init=5"))
+    with time_limit(20), pytest.raises(SimError, match="more than 10000 events"):
+        run_spn(m, 1.0, seed=1)
+
+
 def test_nan_propensity_ends_in_sim_error():
     m = parse_model(BIRTH_SPN.replace(
         'rate="lam"', 'rate="lam*1e200*1e200 - lam*1e200*1e200 + X"'))
@@ -470,13 +480,23 @@ def test_non_finite_param_rejected(value):
         run_spn(parse_model(BIRTH_SPN), 1.0, seed=1, params={"lam": value})
 
 
-def test_one_compiled_stepper_serves_every_parameter_point():
+def test_step_rejects_a_marking_of_the_wrong_length():
     m = parse_model(SIR_DENSITY)
+    for marking in [(990.0, 10.0), (990.0, 10.0, 0.0, 1.0)]:
+        with pytest.raises(SimError, match="marking length does not match"):
+            step_vapn(m, marking, 1.0)
+
+
+def test_one_compiled_stepper_serves_every_parameter_point(monkeypatch):
+    m = parse_model(SIR_DENSITY)
+    built, build = [], sim._build_vapn
+    monkeypatch.setattr(sim, "_build_vapn", lambda mm: built.append(mm) or build(mm))
     assert step_vapn(m, (990.0, 10.0, 0.0), 1.0) == (987.03, 11.969999999999999, 1.0)
     assert step_vapn(m, (990.0, 10.0, 0.0), 1.0, params={"beta": 0.0}) \
         == (990.0, 9.0, 1.0)
     run_vapn(m, 2.0, dt=0.5, params={"gamma": 0.2})
-    assert list(sim._compiled[m]) == ["_build_vapn"]
+    assert built == [m]
+    assert list(codegen._built[m]) == [sim._build_vapn]
 
 
 def test_names_clashing_with_generated_code_are_renamed():
