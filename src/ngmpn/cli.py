@@ -169,7 +169,7 @@ def cmd_sweep(args) -> int:
                          conv_tol=args.conv_tol, max_t=args.max_t,
                          susceptible=args.susceptible,
                          overrides=_params(args))
-    report = sweep(m, grid, config, jobs=args.jobs)
+    report = sweep(m, grid, config)
 
     if args.output:
         with open(args.output, "w") as fh:
@@ -234,7 +234,6 @@ def _parser():
     p.add_argument("--conv-tol", type=float, default=1e-6, dest="conv_tol")
     p.add_argument("--max-t", type=float, default=3e5, dest="max_t")
     p.add_argument("--susceptible", default="S")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_sweep)
 

@@ -18,10 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 from .errors import NgmpnError
 from .ngm import ngm_r0
@@ -133,8 +130,7 @@ class SweepConfig:
     max_t: float = 3e5
     susceptible: tuple | str = "S"
     overrides: dict = field(default_factory=dict)   # fixed params, e.g. delta=0
-    marking0: tuple | None = None
-    n: float | None = None          # population size; default sum of marking0
+    marking0: tuple | None = None   # default: the model's initial marking
 
 
 @dataclass(frozen=True)
@@ -173,6 +169,12 @@ class SweepReport:
             fh.write(",".join(cells) + "\n")
 
 
+def _start(m: PetriModel, config: SweepConfig) -> tuple:
+    """The starting marking of every sweep run; its sum is the population."""
+    return tuple(config.marking0) if config.marking0 is not None \
+        else m.initial_marking()
+
+
 def converged_run(m: PetriModel, params: dict, config: SweepConfig) -> Trajectory:
     """Chunked VAPN run until the susceptible total flattens.
 
@@ -180,9 +182,8 @@ def converged_run(m: PetriModel, params: dict, config: SweepConfig) -> Trajector
     preserved) and whose remaining samples are the final chunk, dense enough
     for the estimator's plateau precondition.
     """
-    marking = tuple(config.marking0) if config.marking0 is not None \
-        else m.initial_marking()
-    n = config.n if config.n is not None else float(sum(marking))
+    marking = _start(m, config)
+    n = float(sum(marking))
     idx = [m.place_index(p) for p in _names(config.susceptible)]
     inf_idx = [m.place_index(p) for p in m.infected_places()]
 
@@ -221,8 +222,6 @@ def _check_inputs(m: PetriModel, config: SweepConfig, points):
             raise EstimateError(f"{name} must be positive and finite")
     if not 0 <= config.conv_tol < math.inf:
         raise EstimateError("conv_tol must be finite and >= 0")
-    if config.n is not None and not config.n > 0:
-        raise EstimateError("population size n must be positive")
     for name in _names(config.susceptible):
         if not m.is_place(name):
             raise EstimateError(f"susceptible place {name!r} is not in model {m.name}")
@@ -230,9 +229,24 @@ def _check_inputs(m: PetriModel, config: SweepConfig, points):
         m.merged_params({**config.overrides, **point}, EstimateError)
 
 
-def _sweep_rows(m: PetriModel, config: SweepConfig, n: float, points) -> list:
-    """One SweepRow per grid point, in order; a point's failure is recorded
-    in its row."""
+def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> SweepReport:
+    """Estimator-vs-algebra comparison over a cartesian parameter grid.
+
+    grid maps parameter names to value lists; rows come out in
+    grid-lexicographic order (first name slowest). The grid and the config
+    are checked before any point runs and raise EstimateError; a package
+    error at a point is recorded in its row and excluded from the aggregate
+    errors, and any other exception propagates.
+    """
+    if not grid:
+        raise EstimateError("empty parameter grid")
+    config = config or SweepConfig()
+    names = tuple(grid.keys())
+    n = float(sum(_start(m, config)))
+    points = [dict(zip(names, combo))
+              for combo in itertools.product(*(grid[k] for k in names))]
+    _check_inputs(m, config, points)
+
     rows = []
     for point in points:
         params = dict(config.overrides)
@@ -248,44 +262,6 @@ def _sweep_rows(m: PetriModel, config: SweepConfig, n: float, points) -> list:
             rows.append(SweepRow(point, r0_alg, est.r0_hat, rel))
         except NgmpnError as exc:  # recorded, not fatal to the sweep
             rows.append(SweepRow(point, error=f"{type(exc).__name__}: {exc}"))
-    return rows
-
-
-def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None,
-          jobs: int = 1) -> SweepReport:
-    """Estimator-vs-algebra comparison over a cartesian parameter grid.
-
-    grid maps parameter names to value lists; rows come out in
-    grid-lexicographic order (first name slowest). The grid, the config and
-    jobs are checked before any point runs and raise EstimateError; a package
-    error at a point is recorded in its row and excluded from the aggregate
-    errors, and any other exception propagates. With jobs > 1
-    the grid is cut into that many contiguous chunks, each run in a worker
-    process on its own copy of the model; the rows are the same as a serial
-    run's.
-    """
-    if not grid:
-        raise EstimateError("empty parameter grid")
-    if jobs < 1:
-        raise EstimateError("jobs must be >= 1")
-    config = config or SweepConfig()
-    names = tuple(grid.keys())
-    marking = tuple(config.marking0) if config.marking0 is not None \
-        else m.initial_marking()
-    n = config.n if config.n is not None else float(sum(marking))
-    points = [dict(zip(names, combo))
-              for combo in itertools.product(*(grid[k] for k in names))]
-    _check_inputs(m, config, points)
-
-    if jobs > 1 and len(points) > 1:
-        size = -(-len(points) // jobs)
-        chunks = [points[i:i + size] for i in range(0, len(points), size)]
-        with ProcessPoolExecutor(max_workers=len(chunks),
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            parts = pool.map(partial(_sweep_rows, m, config, n), chunks)
-            rows = [row for part in parts for row in part]
-    else:
-        rows = _sweep_rows(m, config, n, points)
 
     ok = [row for row in rows if row.error is None]
     return SweepReport(tuple(rows), rrmse(ok) if ok else math.nan,

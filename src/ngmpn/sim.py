@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,6 +325,28 @@ def _uniforms(rng):
     return itertools.chain.from_iterable(blocks()).__next__
 
 
+def _seed(seed) -> int:
+    """The seed once checked, or a fresh one from the OS when it is None."""
+    if seed is None:
+        return int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise SimError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
+def _counts(m: PetriModel, marking) -> tuple:
+    """The marking as integer token counts, refusing any entry that is not a
+    finite, non-negative whole number."""
+    marking = _marking(m, marking)
+    for place, v in zip(m.places, marking):
+        whole = isinstance(v, numbers.Integral) or (
+            isinstance(v, numbers.Real) and math.isfinite(v) and v == math.floor(v))
+        if not whole or v < 0:
+            raise SimError(f"initial marking of place {place.name!r} is not a "
+                           f"non-negative whole number: {v!r}")
+    return tuple(map(int, marking))
+
+
 def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
             sample_dt: float = 1.0, marking0=None) -> Trajectory:
     """Event-by-event stochastic run to t_end.
@@ -341,15 +364,9 @@ def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
     _check_samples(t_end / sample_dt)
     p = _param_values(m, params)
     runner = per_model(m, _build_spn)
-
-    if seed is None:
-        seed = int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
+    seed = _seed(seed)
     rng = np.random.default_rng(seed)
-
-    marking = _marking(m, map(int, marking0 if marking0 is not None
-                              else m.initial_marking()))
-    if any(v < 0 for v in marking):
-        raise SimError("negative initial marking")
+    marking = _counts(m, marking0 if marking0 is not None else m.initial_marking())
 
     times = [0.0]
     markings = [marking]
@@ -373,8 +390,7 @@ def run_spn_replicates(m: PetriModel, t_end: float, seed: int | None = None,
     """Independent replicate runs with generators spawned from one seed."""
     if replicates < 1:
         raise SimError("replicates must be >= 1")
-    if seed is None:
-        seed = int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
+    seed = _seed(seed)
     out = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
         child_seed = int(child.generate_state(1, dtype=np.uint64)[0])

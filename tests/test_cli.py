@@ -183,6 +183,14 @@ def test_simulate_bad_seed_in_environment_is_usage_error(capsys, monkeypatch):
     assert err.startswith("error: ") and "NGMPN_SEED" in err
 
 
+def test_simulate_negative_seed_in_environment_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("NGMPN_SEED", "-3")
+    code, out, err = run(capsys, "simulate", "--builtin", "sirs_spn",
+                         "--t-end", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
+
+
 def test_simulate_replicates_to_files(tmp_path, capsys):
     out_csv = tmp_path / "runs.csv"
     code, _, _ = run(capsys, "simulate", "--builtin", "sirs_spn",
@@ -224,15 +232,11 @@ def test_sweep_output_file_and_stdout_summary(tmp_path, capsys):
     assert out_csv.read_text().startswith("beta,r0_alg,r0_hat,rel_err")
 
 
-def test_sweep_parallel_matches_serial(tmp_path, capsys):
-    argv = ["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.4:2",
-            "-p", "delta=0"]
-    a = tmp_path / "serial.csv"
-    b = tmp_path / "par.csv"
-    assert main(argv + ["-o", str(a)]) == 0
-    assert main(argv + ["-o", str(b), "--jobs", "2"]) == 0
-    capsys.readouterr()
-    assert a.read_text() == b.read_text()
+def test_sweep_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_sweep_with_every_point_failed_exits_1(capsys):
@@ -358,6 +362,10 @@ ERROR_CASES = {
     # 1001 samples, but refused before any of its 1e12 Euler steps
     "too_many_steps_vapn": (["simulate", "--builtin", "sirs", "--t-end", "1",
                              "--dt", "1e-12", "--sample-every", "1000000000"], 1),
+    "negative_seed": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
+                       "--seed", "-1"], 1),
+    "negative_seed_replicates": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
+                                  "--seed", "-1", "--replicates", "2"], 1),
     "unknown_susceptible": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
                              "--susceptible", "Q"], 1),
 }

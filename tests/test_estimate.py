@@ -283,20 +283,6 @@ def test_sweep_derives_parameter_free_work_once(monkeypatch):
     assert list(codegen._built[m]) == [ngm._derive, sim._build_vapn]
 
 
-def test_sweep_in_worker_processes_matches_serial():
-    m = parse_model(SIR_SMALL)
-    grid = {"beta": [0.25, 0.3, 0.4]}
-    serial = sweep(m, grid)
-    parallel = sweep(m, grid, jobs=2)
-    assert parallel.rows == serial.rows
-    assert parallel.summary() == serial.summary()
-
-
-def test_sweep_rejects_nonpositive_jobs():
-    with pytest.raises(EstimateError):
-        sweep(parse_model(SIR_SMALL), {"beta": [0.3]}, jobs=0)
-
-
 def test_sweep_rejects_empty_grid():
     with pytest.raises(EstimateError):
         sweep(builtin("sirs"), {})
@@ -307,12 +293,11 @@ def test_sweep_rejects_empty_grid():
     (SweepConfig(dt=0.0), {"beta": [0.3]}),
     (SweepConfig(chunk_t=math.nan), {"beta": [0.3]}),
     (SweepConfig(conv_tol=-1.0), {"beta": [0.3]}),
-    (SweepConfig(n=0.0), {"beta": [0.3]}),
     (SweepConfig(susceptible=("S", "Q")), {"beta": [0.3]}),
     (SweepConfig(overrides={"zeta": 1.0}), {"beta": [0.3]}),
     (SweepConfig(), {"beta": [0.3, math.inf]}),
     (SweepConfig(), {"beta": ["fast"]}),
-], ids=["max_t_inf", "dt_zero", "chunk_t_nan", "conv_tol_negative", "n_zero",
+], ids=["max_t_inf", "dt_zero", "chunk_t_nan", "conv_tol_negative",
         "unknown_susceptible", "unknown_override", "grid_inf", "grid_not_a_number"])
 def test_sweep_checks_inputs_before_any_point(config, grid, monkeypatch):
     monkeypatch.setattr("ngmpn.estimate.ngm_r0", None)   # no point may run

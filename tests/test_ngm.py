@@ -1,12 +1,13 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ngmpn.expr import eval_expr, to_text
+from ngmpn.expr import Constant, Mul, eval_expr, to_text
 from ngmpn.modelzoo import builtin, oracle_r0, zoo_entry, zoo_ids
 from ngmpn.ngm import DfeError, NgmError, compute_dfe, ngm_r0
 from ngmpn.petri import net_flow, parse_model
@@ -294,3 +295,32 @@ def test_threshold_theorem_on_manifest_ranges(mid, data):
     assume(abs(res.r0 - 1.0) >= 1e-9)
     growth = max(np.linalg.eigvals(np.array(res.F) - np.array(res.V)).real)
     assert (growth > 0.0) == (res.r0 > 1.0), (res.r0, growth)
+
+
+# ----------------------------------------------------------- time rescaling
+
+def rescaled(m, c):
+    """The net with every arc weight (vapn) or rate (spn) multiplied by c,
+    i.e. with time running c times as fast."""
+    k = Constant(c)
+    if m.kind == "vapn":
+        return replace(m, arcs=tuple(replace(a, weight=Mul((k, a.weight)))
+                                     for a in m.arcs))
+    return replace(m, transitions=tuple(replace(t, rate=Mul((k, t.rate)))
+                                        for t in m.transitions))
+
+
+@pytest.mark.parametrize("c", [1e-3, 7.0, 1e3])
+@pytest.mark.parametrize("mid", zoo_ids())
+def test_r0_and_dfe_invariant_under_time_rescaling(mid, c):
+    # scaling every rate by c scales F and V by c, so K = F V^-1 and the
+    # zeros of the flows (the DFE) do not change
+    base = ngm_r0(builtin(mid))
+    res = ngm_r0(rescaled(builtin(mid), c))
+    assert rel(res.V[0][0], c * base.V[0][0]) <= 1e-12   # V did scale
+    assert rel(res.r0, base.r0) <= 1e-12, (res.r0, base.r0)
+    for x, y in zip(res.dfe.marking, base.dfe.marking, strict=True):
+        assert abs(x - y) <= 1e-12 * max(abs(y), 1.0), (x, y)
+    assert res.dfe.method == base.dfe.method
+    assert ([(f.code, f.status) for f in res.findings]
+            == [(f.code, f.status) for f in base.findings])

@@ -227,6 +227,21 @@ def test_spn_absorbing_state_fills_forward():
     assert all(mk == (100, 0, 0) for mk in traj.markings)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, "7", -1])
+def test_spn_marking_that_is_not_a_token_count_rejected(value):
+    with pytest.raises(SimError, match="place 'I'"):
+        run_spn(builtin("sirs_spn"), 1.0, seed=1, marking0=(999, value, 0))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_spn_seed_that_is_not_a_non_negative_integer_rejected(seed):
+    m = builtin("sirs_spn")
+    with pytest.raises(SimError, match="seed"):
+        run_spn(m, 1.0, seed=seed)
+    with pytest.raises(SimError, match="seed"):
+        run_spn_replicates(m, 1.0, seed=seed, replicates=2)
+
+
 def test_spn_event_count_matches_poisson_rate():
     m = parse_model(BIRTH_SPN)
     traj = run_spn(m, 50.0, seed=11)
