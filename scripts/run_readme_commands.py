@@ -1,10 +1,12 @@
-"""Run every command of README.md's "Command line" block and fail on the
-first one that exits non-zero, so the README cannot keep a flag that is gone.
+"""Run every command of README.md's "Command line" block, then its Python
+example, and fail on the first one that exits non-zero, so the README cannot
+keep a flag or a name that is gone.
 
-Each `ngmpn ARGS` line runs as `python -m ngmpn.cli ARGS` with the checkout's
-src on PYTHONPATH, inside DIR (a new temporary directory by default), so its
-output files land there. An argument naming a file of the checkout, such as
-a bundled model, is resolved against the checkout root.
+Each `ngmpn ARGS` line runs as `python -m ngmpn.cli ARGS`, and the
+```python block as `python -c BLOCK`, with the checkout's src on PYTHONPATH,
+inside DIR (a new temporary directory by default), so output files land
+there. An argument naming a file of the checkout, such as a bundled model,
+is resolved against the checkout root.
 
 Run: python scripts/run_readme_commands.py [--dir DIR]
 """
@@ -28,6 +30,20 @@ def readme_commands(text: str) -> list:
     return [line.split() for line in lines if line.strip()]
 
 
+def readme_python(text: str) -> str:
+    """The source of README.md's first ```python block."""
+    return text.split("\n```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def run(argv, label, workdir, env) -> bool:
+    """Run argv in workdir, report its exit code and time; True on success."""
+    start = time.perf_counter()
+    code = subprocess.run(argv, cwd=workdir, env=env,
+                          stdout=subprocess.DEVNULL).returncode
+    print(f"exit {code} in {time.perf_counter() - start:5.1f} s: {label}")
+    return code == 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dir", help="directory to run in (default: a new temporary one)")
@@ -38,17 +54,18 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
 
-    for argv in readme_commands((ROOT / "README.md").read_text()):
+    readme = (ROOT / "README.md").read_text()
+    for argv in readme_commands(readme):
         if argv[0] != "ngmpn":
             print(f"not an ngmpn command: {' '.join(argv)}", file=sys.stderr)
             return 1
         cli_args = [str(ROOT / a) if (ROOT / a).is_file() else a for a in argv[1:]]
-        start = time.perf_counter()
-        code = subprocess.run([sys.executable, "-m", "ngmpn.cli", *cli_args],
-                              cwd=workdir, env=env, stdout=subprocess.DEVNULL).returncode
-        print(f"exit {code} in {time.perf_counter() - start:5.1f} s: {' '.join(argv)}")
-        if code != 0:
+        if not run([sys.executable, "-m", "ngmpn.cli", *cli_args], " ".join(argv),
+                   workdir, env):
             return 1
+    if not run([sys.executable, "-c", readme_python(readme)], "the Python example",
+               workdir, env):
+        return 1
     print(f"outputs in {workdir}")
     return 0
 

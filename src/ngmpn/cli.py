@@ -17,7 +17,7 @@ import sys
 
 from .errors import NgmpnError
 from .estimate import SweepConfig, sweep
-from .modelzoo import builtin, zoo_entries
+from .modelzoo import ZooError, builtin, zoo_entries, zoo_entry
 from .ngm import ngm_r0
 from .petri import ModelError, load_model, validate_assumptions
 from .sim import run_spn, run_spn_replicates, run_vapn
@@ -46,6 +46,10 @@ def _load(args):
     if bool(args.model) == bool(args.builtin):
         raise UsageError("give exactly one model source: a path or --builtin ID")
     if args.builtin:
+        try:
+            zoo_entry(args.builtin)
+        except ZooError as exc:   # an unknown id; a manifest fault stays exit 1
+            raise UsageError(str(exc)) from None
         return builtin(args.builtin)
     if not os.path.exists(args.model):
         raise UsageError(f"no such file: {args.model}")

@@ -30,7 +30,7 @@ import math
 import re
 import weakref
 
-from .expr import Add, Constant, Div, Mul, Neg, Pow, Sub, Symbol
+from .expr import Add, Constant, Div, Mul, Neg, Pow, Symbol
 from .petri import PetriModel, RESERVED_TOTAL
 
 # names the generated code uses itself: its locals and helpers all look like
@@ -118,9 +118,6 @@ def _emit(e, names, sums):
     if kind is Div:
         return (_wrap(_emit(e.num, names, sums), _PRODUCT) + "/"
                 + _wrap(_emit(e.den, names, sums), _UNARY)), _PRODUCT
-    if kind is Sub:
-        return (_wrap(_emit(e.left, names, sums), _SUM) + " - "
-                + _wrap(_emit(e.right, names, sums), _PRODUCT)), _SUM
     if kind is Neg:
         return "-" + _wrap(_emit(e.arg, names, sums), _POWER), _UNARY
     if kind is Pow:

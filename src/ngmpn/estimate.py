@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
+from . import linalg
 from .errors import NgmpnError
 from .ngm import ngm_r0
 from .petri import PetriModel
@@ -225,6 +227,16 @@ def _check_inputs(m: PetriModel, config: SweepConfig, points):
     for name in _names(config.susceptible):
         if not m.is_place(name):
             raise EstimateError(f"susceptible place {name!r} is not in model {m.name}")
+    marking = _start(m, config)
+    if len(marking) != len(m.places):
+        raise EstimateError(f"marking0 has {len(marking)} entries for the "
+                            f"{len(m.places)} places of model {m.name}")
+    for place, v in zip(m.places, marking):
+        if not (isinstance(v, numbers.Real) and 0 <= v < math.inf):
+            raise EstimateError(f"marking0 of place {place.name!r} is not a finite, "
+                                f"non-negative number: {v!r}")
+    if not sum(marking) > 0:
+        raise EstimateError("marking0 sums to zero: there is no population")
     for point in points:
         m.merged_params({**config.overrides, **point}, EstimateError)
 
@@ -233,26 +245,38 @@ def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> Sweep
     """Estimator-vs-algebra comparison over a cartesian parameter grid.
 
     grid maps parameter names to value lists; rows come out in
-    grid-lexicographic order (first name slowest). The grid and the config
-    are checked before any point runs and raise EstimateError; a package
-    error at a point is recorded in its row and excluded from the aggregate
-    errors, and any other exception propagates.
+    grid-lexicographic order (first name slowest). The grid and the config,
+    its starting marking included, are checked before any point runs and
+    raise EstimateError; a package error at a point is recorded in its row
+    and excluded from the aggregate errors, and any other exception
+    propagates. A point where chunk_t is shorter than 1/min Re eig(V), the
+    slowest transfer time scale at the DFE, is such an error.
     """
     if not grid:
         raise EstimateError("empty parameter grid")
     config = config or SweepConfig()
     names = tuple(grid.keys())
-    n = float(sum(_start(m, config)))
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(grid[k] for k in names))]
     _check_inputs(m, config, points)
+    n = float(sum(_start(m, config)))
 
     rows = []
     for point in points:
         params = dict(config.overrides)
         params.update(point)
         try:
-            r0_alg = ngm_r0(m, params=params).r0
+            alg = ngm_r0(m, params=params)
+            # converged_run's plateau test compares the ends of one chunk; a
+            # chunk shorter than the slowest transfer time scale can pass it
+            # while the outbreak is still igniting
+            rate = min(ev.real for ev in linalg.eigenvalues(alg.V))
+            if config.chunk_t * rate < 1.0:
+                raise EstimateError(
+                    f"chunk_t {config.chunk_t:g} is shorter than the slowest transfer "
+                    f"time scale at the DFE: chunk_t * min Re eig(V) = "
+                    f"{config.chunk_t * rate:.6g} < 1")
+            r0_alg = alg.r0
             traj = converged_run(m, params, config)
             est = attack_rate_r0(traj, config.susceptible, n,
                                  conv_tol=config.conv_tol)

@@ -6,6 +6,9 @@ real powers): that is all the bundled epidemic models need, and it keeps
 differentiation and simplification fully testable. The name ``N`` is reserved
 by the model layer, where it means the sum of all place markings; this module
 treats it like any other symbol.
+
+There is one node for sums: subtraction is an ``Add`` whose subtracted term
+is a ``Neg``, so ``a - b - c`` parses to ``Add((a, Neg(b), Neg(c)))``.
 """
 from __future__ import annotations
 
@@ -67,15 +70,6 @@ class Add(Expr):
 
     def __repr__(self):
         return "Add(" + ", ".join(map(repr, self.terms)) + ")"
-
-
-@dataclass(frozen=True, repr=False)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-    def __repr__(self):
-        return f"Sub({self.left!r}, {self.right!r})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -173,7 +167,8 @@ class _Parser:
     term := unary (('*'|'/') unary)*, unary := '-' unary | power,
     power := atom ('^' unary)?, atom := number | symbol | '(' expr ')'.
     '^' is right-associative and its exponent must reduce to a number.
-    Numbers and exponents must be finite."""
+    Numbers and exponents must be finite. A sum is one Add of its terms, a
+    term after '-' wrapped in a Neg."""
 
     def __init__(self, text: str):
         self.text = text
@@ -207,15 +202,11 @@ class _Parser:
         e = self.term()
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val == "+":
-                self.i += 1
-                rhs = self.term()
-                e = Add(e.terms + (rhs,)) if isinstance(e, Add) else Add((e, rhs))
-            elif kind == "op" and val == "-":
-                self.i += 1
-                e = Sub(e, self.term())
-            else:
+            if kind != "op" or val not in ("+", "-"):
                 return e
+            self.i += 1
+            rhs = self.term() if val == "+" else Neg(self.term())
+            e = Add(e.terms + (rhs,)) if isinstance(e, Add) else Add((e, rhs))
 
     def term(self) -> Expr:
         # a leading '-' negates the whole product, so "-b*S*I" round-trips
@@ -296,7 +287,7 @@ def parse_expr(text: str) -> Expr:
 # ---------------------------------------------------------------- printing
 
 def _prec(e: Expr) -> float:
-    if isinstance(e, (Add, Sub)):
+    if isinstance(e, Add):
         return 1.0
     if isinstance(e, Neg):
         return 1.5
@@ -339,9 +330,6 @@ def to_text(e: Expr) -> str:
             else:
                 parts.append("+ " + _wrap(t, _prec(t) < 1.0))
         return " ".join(parts)
-    if isinstance(e, Sub):
-        return (_wrap(e.left, _prec(e.left) < 1.0) + " - "
-                + _wrap(e.right, _prec(e.right) <= 1.0))
     if isinstance(e, Mul):
         return "*".join(_wrap(f, _prec(f) < 2.0) for f in e.factors)
     if isinstance(e, Div):
@@ -369,8 +357,6 @@ def eval_expr(e: Expr, bindings: dict) -> float:
         for t in e.terms:
             acc += eval_expr(t, bindings)
         return acc
-    if isinstance(e, Sub):
-        return eval_expr(e.left, bindings) - eval_expr(e.right, bindings)
     if isinstance(e, Neg):
         return -eval_expr(e.arg, bindings)
     if isinstance(e, Mul):
@@ -412,8 +398,6 @@ def free_symbols(e: Expr) -> set:
         for f in e.factors:
             out |= free_symbols(f)
         return out
-    if isinstance(e, Sub):
-        return free_symbols(e.left) | free_symbols(e.right)
     if isinstance(e, Div):
         return free_symbols(e.num) | free_symbols(e.den)
     if isinstance(e, Neg):
@@ -431,8 +415,6 @@ def substitute(e: Expr, mapping: dict) -> Expr:
         return e
     if isinstance(e, Add):
         return Add(tuple(substitute(t, mapping) for t in e.terms))
-    if isinstance(e, Sub):
-        return Sub(substitute(e.left, mapping), substitute(e.right, mapping))
     if isinstance(e, Mul):
         return Mul(tuple(substitute(f, mapping) for f in e.factors))
     if isinstance(e, Div):
@@ -458,8 +440,6 @@ def _d(e: Expr, x: str) -> Expr:
         return Constant(1.0 if e.name == x else 0.0)
     if isinstance(e, Add):
         return Add(tuple(_d(t, x) for t in e.terms))
-    if isinstance(e, Sub):
-        return Sub(_d(e.left, x), _d(e.right, x))
     if isinstance(e, Neg):
         return Neg(_d(e.arg, x))
     if isinstance(e, Mul):
@@ -470,7 +450,7 @@ def _d(e: Expr, x: str) -> Expr:
         return add_(terms)
     if isinstance(e, Div):
         u, v = e.num, e.den
-        return Div(Sub(mul_((_d(u, x), v)), mul_((u, _d(v, x)))), Pow(v, 2.0))
+        return Div(Add((mul_((_d(u, x), v)), Neg(mul_((u, _d(v, x)))))), Pow(v, 2.0))
     if isinstance(e, Pow):
         c = e.exponent
         return mul_((Constant(c), Pow(e.base, c - 1.0), _d(e.base, x)))
@@ -507,9 +487,6 @@ def _collect_terms(e: Expr, sign: float, out: list):
     if isinstance(e, Add):
         for t in e.terms:
             _collect_terms(t, sign, out)
-    elif isinstance(e, Sub):
-        _collect_terms(e.left, sign, out)
-        _collect_terms(e.right, -sign, out)
     elif isinstance(e, Neg):
         _collect_terms(e.arg, -sign, out)
     else:
@@ -592,14 +569,10 @@ def simplify(e: Expr) -> Expr:
             if isinstance(u, Constant) and v.value != 0.0:
                 return Constant(u.value / v.value)
         return Div(u, v)
-    if isinstance(e, (Add, Sub)):
+    if isinstance(e, Add):
         raw = []
-        if isinstance(e, Add):
-            for t in e.terms:
-                _collect_terms(simplify(t), 1.0, raw)
-        else:
-            _collect_terms(simplify(e.left), 1.0, raw)
-            _collect_terms(simplify(e.right), -1.0, raw)
+        for t in e.terms:
+            _collect_terms(simplify(t), 1.0, raw)
         order = []           # canonical keys in first-seen order
         merged = {}          # key -> [coeff, representative factors]
         for sign, t in raw:

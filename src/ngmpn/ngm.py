@@ -40,7 +40,7 @@ from . import linalg
 from .errors import NgmpnError
 from .codegen import (assignments, call, emit, generated, per_model, symbol_table,
                       targets)
-from .expr import (Expr, ExprError, Symbol, Constant, Add, Neg, Sub, add_, simplify,
+from .expr import (Expr, ExprError, Symbol, Constant, Add, Neg, add_, simplify,
                    substitute, diff, eval_expr, parse_expr)
 from .petri import (PetriModel, Finding, RESERVED_TOTAL, _arc_term, net_flow,
                     classify_transitions, validate_assumptions)
@@ -328,7 +328,7 @@ def _split(m: PetriModel, classes: dict):
                 gain = [_arc_term(m, a) for a in outs if a.target == place]
                 loss = [_arc_term(m, a) for a in ins if a.source == place]
                 if gain and loss:
-                    f_terms[i].append(Sub(add_(gain), add_(loss)))
+                    f_terms[i].append(Add((add_(gain), Neg(add_(loss)))))
                 elif gain:
                     f_terms[i].append(add_(gain))
                 elif loss:

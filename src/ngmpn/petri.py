@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import NgmpnError
-from .expr import (Expr, Constant, Neg, Sub, add_, mul_, parse_expr,
+from .expr import (Expr, Constant, Add, Neg, add_, mul_, parse_expr,
                    free_symbols, eval_expr, simplify, to_text, EvalError,
                    ExprSyntaxError)
 
@@ -512,7 +512,7 @@ def validate_assumptions(m: PetriModel) -> list:
         takes = [_arc_term(m, a) for a in m.inputs_of(t.name) if a.source in infected]
         if not gains:
             continue
-        surplus = simplify(Sub(add_(gains), add_(takes)) if takes else add_(gains))
+        surplus = simplify(Add((add_(gains), Neg(add_(takes)))) if takes else add_(gains))
         if isinstance(surplus, Constant) and surplus.value <= 0.0:
             continue
         if _sampled_sign(m, surplus) > 1e-9:

@@ -98,7 +98,7 @@ def test_non_finite_param_is_domain_error(capsys, param):
 
 def test_unknown_builtin(capsys):
     code, _, err = run(capsys, "r0", "--builtin", "nope")
-    assert code == 1 and "nope" in err
+    assert code == 2 and "nope" in err      # a usage error, like a missing file
 
 
 # --------------------------------------------------------------- validate
@@ -243,7 +243,7 @@ def test_sweep_with_every_point_failed_exits_1(capsys):
     # a horizon far too short for any point to plateau
     code, out, err = run(capsys, "sweep", "--builtin", "sirs",
                          "--grid", "beta=0.3:0.4:2", "-p", "delta=0",
-                         "--chunk-t", "2", "--max-t", "2", "--conv-tol", "1e-12")
+                         "--chunk-t", "10", "--max-t", "10", "--conv-tol", "1e-12")
     assert code == 1
     assert len(out.splitlines()) == 3
     summary, message = err.splitlines()
@@ -346,6 +346,7 @@ NETS = {
 ERROR_CASES = {
     "r0_directory": (["r0", "{dir}"], 2),
     "r0_not_utf8": (["r0", "{dir}/latin1.pnet"], 2),
+    "unknown_builtin": (["validate", "--builtin", "nonexistent"], 2),
     "output_is_directory": (["simulate", "--builtin", "sirs", "--t-end", "1",
                              "-o", "{dir}"], 2),
     "pow_overflow": (["r0", "{net}"], 1),

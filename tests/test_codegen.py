@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ngmpn import ngm
 from ngmpn.codegen import assignments, call, emit, generated, per_model, targets
-from ngmpn.expr import (Add, Constant, Div, EvalError, Mul, Pow, Sub, Symbol, add_,
+from ngmpn.expr import (Add, Constant, Div, EvalError, Mul, Neg, Pow, Symbol, add_,
                         diff, eval_expr, simplify, substitute, to_text)
 from ngmpn.ngm import NgmError
 from ngmpn.petri import net_flow, parse_model
@@ -37,7 +37,7 @@ def trees(draw):
         power = Pow(draw(exprs(depth=2)),
                     draw(st.sampled_from([0.5, 1.5, -0.5, -1.0, -2.0])))
         e = draw(st.sampled_from([Add((e, power)), Mul((power, e)),
-                                  Div(e, power), Sub(power, e)]))
+                                  Div(e, power), Add((power, Neg(e)))]))
     return e
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -222,10 +223,10 @@ def test_sweep_records_per_point_failures():
     m = builtin("sirs")
     # a horizon too short to converge: failure is recorded, not raised
     cfg = SweepConfig(overrides={"delta": 0.0}, marking0=(9999.0, 1.0, 0.0),
-                      chunk_t=2.0, max_t=2.0)
+                      chunk_t=10.0, max_t=10.0)
     report = sweep(m, {"beta": [0.3]}, cfg)
     assert report.failures == 1
-    assert report.rows[0].error.startswith("EstimateError")
+    assert report.rows[0].error.startswith("EstimateError: susceptible series not converged")
     assert report.rows[0].r0_hat is None
     assert math.isnan(report.rrmse)
     assert report.summary()["rrmse"] is None
@@ -297,12 +298,31 @@ def test_sweep_rejects_empty_grid():
     (SweepConfig(overrides={"zeta": 1.0}), {"beta": [0.3]}),
     (SweepConfig(), {"beta": [0.3, math.inf]}),
     (SweepConfig(), {"beta": ["fast"]}),
+    (SweepConfig(marking0=(math.nan, 1.0, 0.0)), {"beta": [0.3]}),
+    (SweepConfig(marking0=(math.inf, 1.0, 0.0)), {"beta": [0.3]}),
+    (SweepConfig(marking0=(999.0, -1.0, 0.0)), {"beta": [0.3]}),
+    (SweepConfig(marking0=(999.0, 1.0)), {"beta": [0.3]}),
+    (SweepConfig(marking0=(0.0, 0.0, 0.0)), {"beta": [0.3]}),
 ], ids=["max_t_inf", "dt_zero", "chunk_t_nan", "conv_tol_negative",
-        "unknown_susceptible", "unknown_override", "grid_inf", "grid_not_a_number"])
+        "unknown_susceptible", "unknown_override", "grid_inf", "grid_not_a_number",
+        "marking0_nan", "marking0_inf", "marking0_negative", "marking0_short",
+        "marking0_empty"])
 def test_sweep_checks_inputs_before_any_point(config, grid, monkeypatch):
     monkeypatch.setattr("ngmpn.estimate.ngm_r0", None)   # no point may run
     with pytest.raises(EstimateError):
         sweep(builtin("sirs"), grid, config)
+
+
+def test_sweep_refuses_a_chunk_shorter_than_the_slowest_transfer():
+    # over 1e-3 time units neither S nor I moves enough to fail the plateau
+    # test, so the run would stop before the outbreak; 1/gamma is 10 here
+    m = builtin("sirs")
+    cfg = SweepConfig(chunk_t=1e-3, overrides={"delta": 0.0})
+    report = sweep(m, {"beta": [0.3]}, cfg)
+    assert report.failures == 1
+    assert "chunk_t 0.001 is shorter" in report.rows[0].error
+    ok = sweep(m, {"beta": [0.3]}, replace(cfg, chunk_t=10.0))
+    assert ok.failures == 0 and ok.rows[0].rel_err <= 0.01
 
 
 def test_sweep_lets_a_programming_error_propagate(monkeypatch):

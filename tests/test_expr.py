@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngmpn.expr import (Add, Constant, Div, EvalError, ExprSyntaxError, Mul,
-                        Neg, Pow, Sub, Symbol, UnboundSymbolError, diff,
+                        Neg, Pow, Symbol, UnboundSymbolError, diff,
                         eval_expr, free_symbols, parse_expr, simplify,
                         substitute, to_text)
 
@@ -30,7 +30,7 @@ def exprs(draw, depth=4):
     if kind == "add":
         return Add((a, b))
     if kind == "sub":
-        return Sub(a, b)
+        return Add((a, Neg(b)))
     if kind == "mul":
         return Mul((a, b))
     return Div(a, b)
@@ -60,6 +60,26 @@ def bindings():
 def test_print_parse_fixpoint(text):
     once = to_text(parse_expr(text))
     assert to_text(parse_expr(once)) == once
+
+
+A, B, C, R = map(Symbol, "abcr")
+
+
+@pytest.mark.parametrize("text,tree", [
+    ("a - b - c", Add((A, Neg(B), Neg(C)))),
+    ("a - (b - c)", Add((A, Neg(Add((B, Neg(C))))))),
+    ("1 - r", Add((Constant(1.0), Neg(R)))),
+    ("a - b + c", Add((A, Neg(B), C))),
+])
+def test_subtraction_is_a_sum_with_negated_terms(text, tree):
+    assert parse_expr(text) == tree
+    assert to_text(tree) == text
+
+
+def test_difference_of_signed_zeros_is_positive_zero():
+    # a sum starts from 0.0, so (-0.0) - 0.0 gives +0.0, not IEEE's -0.0
+    v = eval_expr(parse_expr("x - y"), {"x": -0.0, "y": 0.0})
+    assert math.copysign(1.0, v) == 1.0
 
 
 @given(exprs())
