@@ -1,12 +1,14 @@
 """Run every command of README.md's "Command line" block, then its Python
-example, and fail on the first one that exits non-zero, so the README cannot
-keep a flag or a name that is gone.
+example, then `ngmpn validate` and `ngmpn r0` on its "Model files" example,
+and fail on the first one that exits non-zero, so the README cannot keep a
+flag, a name or a model format that is gone.
 
 Each `ngmpn ARGS` line runs as `python -m ngmpn.cli ARGS`, and the
 ```python block as `python -c BLOCK`, with the checkout's src on PYTHONPATH,
 inside DIR (a new temporary directory by default), so output files land
-there. An argument naming a file of the checkout, such as a bundled model,
-is resolved against the checkout root.
+there; the model example is written there as readme_model.pnet. An argument
+naming a file of the checkout, such as a bundled model, is resolved against
+the checkout root.
 
 Run: python scripts/run_readme_commands.py [--dir DIR]
 """
@@ -33,6 +35,11 @@ def readme_commands(text: str) -> list:
 def readme_python(text: str) -> str:
     """The source of README.md's first ```python block."""
     return text.split("\n```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def readme_model(text: str) -> str:
+    """The model text of the first code block under "## Model files"."""
+    return text.split("\n## Model files\n", 1)[1].split("```", 2)[1].lstrip("\n")
 
 
 def run(argv, label, workdir, env) -> bool:
@@ -66,6 +73,11 @@ def main() -> int:
     if not run([sys.executable, "-c", readme_python(readme)], "the Python example",
                workdir, env):
         return 1
+    (workdir / "readme_model.pnet").write_text(readme_model(readme))
+    for command in ("validate", "r0"):
+        if not run([sys.executable, "-m", "ngmpn.cli", command, "readme_model.pnet"],
+                   f"ngmpn {command} on the model example", workdir, env):
+            return 1
     print(f"outputs in {workdir}")
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .errors import NgmpnError
@@ -42,23 +43,18 @@ class ZooEntry:
         return {name: spec.default for name, spec in self.params.items()}
 
 
-_entries: dict | None = None
-_models: dict = {}
-
-
-def _load():
-    global _entries
-    if _entries is None:
-        root = resources.files(__package__) / "models"
-        manifest = json.loads((root / "manifest.json").read_text())
-        _entries = {}
-        for raw in manifest["models"]:
-            params = {name: ParamSpec(spec["default"], spec["range"][0], spec["range"][1])
-                      for name, spec in raw["params"].items()}
-            _entries[raw["id"]] = ZooEntry(
-                raw["id"], raw["kind"], raw["description"], raw["susceptible"],
-                params, raw["closed_form"], raw["file"])
-    return _entries
+@cache
+def _load() -> dict:
+    root = resources.files(__package__) / "models"
+    manifest = json.loads((root / "manifest.json").read_text())
+    entries = {}
+    for raw in manifest["models"]:
+        params = {name: ParamSpec(spec["default"], spec["range"][0], spec["range"][1])
+                  for name, spec in raw["params"].items()}
+        entries[raw["id"]] = ZooEntry(
+            raw["id"], raw["kind"], raw["description"], raw["susceptible"],
+            params, raw["closed_form"], raw["file"])
+    return entries
 
 
 def zoo_ids() -> tuple:
@@ -78,17 +74,15 @@ def zoo_entries() -> tuple:
     return tuple(_load().values())
 
 
+@cache
 def builtin(model_id: str) -> PetriModel:
-    """The parsed model for a zoo id (cached; models are immutable)."""
-    if model_id not in _models:
-        entry = zoo_entry(model_id)
-        text = (resources.files(__package__) / "models" / entry.file).read_text()
-        model = parse_model(text)
-        declared = entry.defaults()
-        if model.params != declared:
-            raise ZooError(f"manifest and model file disagree on {model_id} params")
-        _models[model_id] = model
-    return _models[model_id]
+    """The parsed model for a zoo id, the same object on every call (models
+    are immutable, and per-model code is keyed by model identity)."""
+    entry = zoo_entry(model_id)
+    model = parse_model((resources.files(__package__) / "models" / entry.file).read_text())
+    if model.params != entry.defaults():
+        raise ZooError(f"manifest and model file disagree on {model_id} params")
+    return model
 
 
 def _two_patch_block(p: dict) -> float:

@@ -6,13 +6,20 @@ stochastic net ("spn") puts integer multiplicities on arcs and a rate
 expression on every transition and is executed event by event. Places carry
 the compartments, transitions carry the flows.
 
-Model text format, line oriented, '#' starts a comment:
+Model text format, line oriented, '#' outside quotes starts a comment:
 
     model NAME kind=vapn|spn
     param NAME = REAL
     place NAME init=REAL [infected]
     trans NAME [rate="EXPR"] [class=infection|transfer]
     arc SRC -> DST [weight="EXPR"] [mult=INT]
+
+A line starts with its statement word. An attribute value that holds a space
+or '#' is quoted, and its quotes must close; no value holds a quote. The word
+`infected` is allowed on place lines only. Every number is finite. A vapn net
+gives every arc a weight= and no transition a rate=; an spn net gives every
+transition a rate=, every arc a mult= of at least 1 and every place a
+whole-number init.
 
 Statement order is: model line first, then params, then places, then
 transitions and arcs (which may interleave). The symbol N is reserved: inside
@@ -30,8 +37,6 @@ from .expr import (Expr, Constant, Add, Neg, add_, mul_, parse_expr,
                    ExprSyntaxError)
 
 RESERVED_TOTAL = "N"
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
 class ModelError(NgmpnError):
@@ -139,244 +144,179 @@ class PetriModel:
 
 # ------------------------------------------------------------ text format
 
-def _strip_comment(line: str) -> str:
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out).strip()
+# One token of a line: a NAME=VALUE attribute, its value quoted or bare up to
+# a space, a quote or '#'; a bare word, with '->' always a word of its own;
+# the comment that ends the line; or a stray character.
+_TOKEN_RE = re.compile(r'''\s*(?:
+    ([A-Za-z_]\w*)\s*=\s*(?:"([^"]*)("?)|([^\s"#]+))
+  | (->|[^\s"#=>-]+)
+  | \#.*
+  | (\S))''', re.X)
+
+# statement: (the section it opens, its bare words, {attribute: the kinds
+# that need it}). Sections come in order, so every param and place is known
+# by the first transition or arc. In the bare words NAME is a name and [WORD]
+# is optional. An attribute some kind needs is refused by the other kind; one
+# no kind needs is optional. A param line takes one NAME=REAL instead.
+_GRAMMAR = {
+    "model": (0, "NAME", {"kind": ()}),
+    "param": (1, "", None),
+    "place": (2, "NAME [infected]", {"init": ("vapn", "spn")}),
+    "trans": (3, "NAME", {"rate": ("spn",), "class": ()}),
+    "arc": (3, "NAME -> NAME", {"weight": ("vapn",), "mult": ("spn",)}),
+}
+_WORDS = {head: re.compile(re.sub(r" \[(\w+)\]", r"( \1)?", form)
+                           .replace("NAME", r"([A-Za-z_][A-Za-z0-9_]*)"))
+          for head, (_, form, _) in _GRAMMAR.items()}
+_SECTIONS = ("the model line", "params", "places", "transitions and arcs")
 
 
-_KV_RE = re.compile(r'(\w+)\s*=\s*("(?:[^"]*)"|\S+)')
+def _tokens(line: str, lineno: int):
+    """The bare words and the attributes of one line, the statement first."""
+    words, attrs = [], {}
+    for key, quoted, close, bare, word, stray in _TOKEN_RE.findall(line):
+        if word:
+            words.append(word)
+        elif key:
+            if not words:
+                raise ModelError(f"line {lineno}: expected a statement, got {key}=")
+            if not (bare or close):
+                raise ModelError(f"line {lineno}: unterminated quote in {key}=")
+            if key in attrs:
+                raise ModelError(f"line {lineno}: duplicate attribute {key!r}")
+            attrs[key] = bare or quoted
+        elif stray:
+            raise ModelError(f"line {lineno}: unexpected {stray!r}")
+    return words, attrs
 
 
-def _parse_kv(text: str, lineno: int) -> dict:
-    out = {}
-    rest = text
-    for m in _KV_RE.finditer(text):
-        key, val = m.group(1), m.group(2)
-        if val.startswith('"'):
-            val = val[1:-1]
-        if key in out:
-            raise ModelError(f"line {lineno}: duplicate attribute {key!r}")
-        out[key] = val
-        rest = rest.replace(m.group(0), "", 1)
-    if rest.split() not in ([], ["infected"]):
-        leftovers = [w for w in rest.split() if w != "infected"]
-        raise ModelError(f"line {lineno}: unexpected token {leftovers[0]!r}")
-    return out
-
-
-def _check_name(name: str, what: str, lineno: int) -> str:
-    if not _NAME_RE.match(name):
-        raise ModelError(f"line {lineno}: invalid {what} name {name!r}")
+def _fresh(name: str, taken, lineno: int) -> str:
+    if name in taken:
+        why = "is reserved" if name == RESERVED_TOTAL else "already in use"
+        raise ModelError(f"line {lineno}: name {name!r} {why}")
     return name
+
+
+def _number(text: str, what: str, lineno: int, whole=False, least=-math.inf) -> float:
+    """`text` as a finite float; a whole number if `whole`; at least `least`."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ModelError(f"line {lineno}: {what} is not a finite number: {text!r}")
+    if whole and value != int(value):
+        raise ModelError(f"line {lineno}: {what} must be a whole number")
+    if value < least:
+        raise ModelError(f"line {lineno}: {what} must be at least {least:g}")
+    return value
+
+
+def _expr(text: str, what: str, symbols, lineno: int) -> Expr:
+    try:
+        e = parse_expr(text)
+    except ExprSyntaxError as ex:
+        raise ModelError(f"line {lineno}: {what}: {ex}") from None
+    loose = free_symbols(e) - symbols
+    if loose:
+        raise ModelError(f"line {lineno}: {what} uses unknown symbol {sorted(loose)[0]!r}")
+    return e
 
 
 def parse_model(text: str) -> PetriModel:
     """Parse model text into a validated PetriModel.
 
-    Raises ModelError with a line number for structural problems and keeps
-    expression syntax errors tied to their line.
+    Every check runs at the line it concerns and raises ModelError naming
+    that line. Only an arc endpoint that is not a place waits for the end of
+    the text, where it must be a transition, as transitions and arcs may
+    interleave.
     """
-    name = None
-    kind = None
+    name = kind = None
     params: dict = {}
-    places: list = []
-    transitions: list = []
+    places: dict = {}
+    transitions: dict = {}
     arcs: list = []
-    arc_lines: list = []
-    section = 0  # 0 expect model, 1 params, 2 places, 3 trans/arcs
+    symbols = {RESERVED_TOTAL}      # names an expression may use
+    endpoints = []                  # (lineno, name) that must be a transition
+    section = -1
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        words, attrs = _tokens(line, lineno)
+        if not words:
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head = words[0]
+        if head not in _GRAMMAR:
+            raise ModelError(f"line {lineno}: unknown statement {head!r}")
+        opens, form, allowed = _GRAMMAR[head]
+        if head == "model" and section >= 0:
+            raise ModelError(f"line {lineno}: duplicate model line")
+        if section < 0 and head != "model":
+            raise ModelError(f"line {lineno}: expected the model line first")
+        if opens < section:
+            raise ModelError(f"line {lineno}: {_SECTIONS[opens]} must precede "
+                             f"{_SECTIONS[section]}")
+        if opens == 3 and section < 2:
+            raise ModelError(f"line {lineno}: {_SECTIONS[opens]} must follow places")
+        section = opens
+        rest = " ".join(words[1:])
+        got = _WORDS[head].fullmatch(rest)
+        if not got:
+            raise ModelError(f"line {lineno}: {head} takes the words {form!r}, got {rest!r}"
+                             if form else f"line {lineno}: {head} takes no words, got {rest!r}")
+        for key, kinds in (allowed or {}).items():
+            if key in attrs and kinds and kind not in kinds:
+                raise ModelError(f"line {lineno}: {key}= is for {kinds[0]} models only")
+            if key not in attrs and kind in kinds:
+                raise ModelError(f"line {lineno}: {kind} {head} lines need {key}=")
+        unknown = [key for key in attrs if allowed is not None and key not in allowed]
+        if unknown:
+            raise ModelError(f"line {lineno}: unknown attribute {unknown[0]!r}")
 
         if head == "model":
-            if section != 0:
-                raise ModelError(f"line {lineno}: duplicate model line")
-            words = rest.split()
-            if not words:
-                raise ModelError(f"line {lineno}: model needs a name")
-            name = _check_name(words[0], "model", lineno)
-            kv = _parse_kv(" ".join(words[1:]), lineno)
-            kind = kv.pop("kind", None)
+            name, kind = got[1], attrs.get("kind")
             if kind not in ("vapn", "spn"):
                 raise ModelError(f"line {lineno}: kind must be vapn or spn")
-            if kv:
-                raise ModelError(f"line {lineno}: unknown attribute {next(iter(kv))!r}")
-            section = 1
-            continue
-        if section == 0:
-            raise ModelError(f"line {lineno}: expected the model line first")
-
-        if head == "param":
-            if section > 1:
-                raise ModelError(f"line {lineno}: params must precede places")
-            m = re.match(r"([A-Za-z_]\w*)\s*=\s*(\S+)$", rest)
-            if not m:
+        elif head == "param":
+            if len(attrs) != 1:
                 raise ModelError(f"line {lineno}: expected 'param NAME = REAL'")
-            pname = m.group(1)
-            if pname == RESERVED_TOTAL:
-                raise ModelError(f"line {lineno}: {RESERVED_TOTAL} is reserved")
-            if pname in params:
-                raise ModelError(f"line {lineno}: duplicate param {pname!r}")
-            try:
-                params[pname] = float(m.group(2))
-            except ValueError:
-                raise ModelError(f"line {lineno}: bad value for param {pname!r}") from None
-            continue
-
-        if head == "place":
-            if section > 2:
-                raise ModelError(f"line {lineno}: places must precede transitions and arcs")
-            section = 2
-            words = rest.split()
-            if not words:
-                raise ModelError(f"line {lineno}: place needs a name")
-            pname = _check_name(words[0], "place", lineno)
-            if pname == RESERVED_TOTAL:
-                raise ModelError(f"line {lineno}: {RESERVED_TOTAL} is reserved")
-            if pname in params or any(p.name == pname for p in places):
-                raise ModelError(f"line {lineno}: name {pname!r} already in use")
-            attrs = " ".join(words[1:])
-            infected = False
-            if re.search(r"\binfected\b", attrs):
-                infected = True
-                attrs = re.sub(r"\binfected\b", "", attrs)
-            kv = _parse_kv(attrs, lineno)
-            if "init" not in kv:
-                raise ModelError(f"line {lineno}: place {pname!r} needs init=")
-            try:
-                init = float(kv.pop("init"))
-            except ValueError:
-                raise ModelError(f"line {lineno}: bad init for place {pname!r}") from None
-            if kv:
-                raise ModelError(f"line {lineno}: unknown attribute {next(iter(kv))!r}")
-            if init < 0:
-                raise ModelError(f"line {lineno}: place {pname!r} has negative init")
-            places.append(Place(pname, init, infected))
-            continue
-
-        if head == "trans":
-            if section < 2:
-                raise ModelError(f"line {lineno}: transitions must follow places")
-            section = 3
-            words = rest.split(None, 1)
-            if not words:
-                raise ModelError(f"line {lineno}: trans needs a name")
-            tname = _check_name(words[0], "transition", lineno)
-            if any(t.name == tname for t in transitions) or any(p.name == tname for p in places):
-                raise ModelError(f"line {lineno}: name {tname!r} already in use")
-            kv = _parse_kv(words[1] if len(words) > 1 else "", lineno)
-            rate = None
-            if "rate" in kv:
-                try:
-                    rate = parse_expr(kv.pop("rate"))
-                except ExprSyntaxError as ex:
-                    raise ModelError(f"line {lineno}: rate of {tname!r}: {ex}") from None
-            override = kv.pop("class", None)
-            if override is not None and override not in ("infection", "transfer"):
+            (pname, value), = attrs.items()
+            symbols.add(_fresh(pname, symbols, lineno))
+            params[pname] = _number(value, f"param {pname}", lineno)
+        elif head == "place":
+            pname = _fresh(got[1], symbols, lineno)
+            init = _number(attrs["init"], f"init of place {pname!r}", lineno,
+                           whole=kind == "spn", least=0)
+            symbols.add(pname)
+            places[pname] = Place(pname, init, got[2] is not None)
+        elif head == "trans":
+            tname = _fresh(got[1], places.keys() | transitions.keys(), lineno)
+            rate = (_expr(attrs["rate"], f"rate of {tname!r}", symbols, lineno)
+                    if "rate" in attrs else None)
+            override = attrs.get("class")
+            if override not in (None, "infection", "transfer"):
                 raise ModelError(f"line {lineno}: class must be infection or transfer")
-            if kv:
-                raise ModelError(f"line {lineno}: unknown attribute {next(iter(kv))!r}")
-            transitions.append(Transition(tname, rate, override))
-            continue
-
-        if head == "arc":
-            if section < 2:
-                raise ModelError(f"line {lineno}: arcs must follow places")
-            section = 3
-            m = re.match(r"([A-Za-z_]\w*)\s*->\s*([A-Za-z_]\w*)\s*(.*)$", rest)
-            if not m:
-                raise ModelError(f"line {lineno}: expected 'arc SRC -> DST'")
-            src, dst, attrs = m.group(1), m.group(2), m.group(3)
-            kv = _parse_kv(attrs, lineno)
-            weight = None
-            mult = None
-            if "weight" in kv:
-                try:
-                    weight = parse_expr(kv.pop("weight"))
-                except ExprSyntaxError as ex:
-                    raise ModelError(f"line {lineno}: weight: {ex}") from None
-            if "mult" in kv:
-                try:
-                    mult = int(kv.pop("mult"))
-                except ValueError:
-                    raise ModelError(f"line {lineno}: mult must be an integer") from None
-                if mult < 1:
-                    raise ModelError(f"line {lineno}: mult must be >= 1")
-            if kv:
-                raise ModelError(f"line {lineno}: unknown attribute {next(iter(kv))!r}")
+            transitions[tname] = Transition(tname, rate, override)
+        else:
+            src, dst = got.groups()
+            if (src in places) == (dst in places):
+                raise ModelError(f"line {lineno}: arc must join a place and a "
+                                 f"transition, got {src!r} -> {dst!r}")
+            endpoints.append((lineno, dst if src in places else src))
+            weight = (_expr(attrs["weight"], "weight", symbols, lineno)
+                      if "weight" in attrs else None)
+            mult = (int(_number(attrs["mult"], "mult", lineno, whole=True, least=1))
+                    if "mult" in attrs else None)
             arcs.append(Arc(src, dst, weight, mult))
-            arc_lines.append(lineno)
-            continue
-
-        raise ModelError(f"line {lineno}: unknown statement {head!r}")
 
     if name is None:
         raise ModelError("missing model line")
     if not places:
         raise ModelError("model has no places")
-
-    model = PetriModel(name, kind, tuple(places), tuple(transitions), tuple(arcs), params)
-    _validate_structure(model, arc_lines)
-    return model
-
-
-def _validate_structure(m: PetriModel, arc_lines):
-    place_names = set(m.place_names())
-    trans_names = {t.name for t in m.transitions}
-    symbols = place_names | set(m.params) | {RESERVED_TOTAL}
-
-    for a, lineno in zip(m.arcs, arc_lines):
-        src_is_place = a.source in place_names
-        dst_is_place = a.target in place_names
-        if a.source not in place_names | trans_names:
-            raise ModelError(f"line {lineno}: arc endpoint {a.source!r} is not declared")
-        if a.target not in place_names | trans_names:
-            raise ModelError(f"line {lineno}: arc endpoint {a.target!r} is not declared")
-        if src_is_place == dst_is_place:
-            raise ModelError(
-                f"line {lineno}: arc must join a place and a transition, got "
-                f"{a.source!r} -> {a.target!r}")
-        if m.kind == "vapn":
-            if a.weight is None:
-                raise ModelError(f"line {lineno}: vapn arcs need weight=")
-            if a.mult is not None:
-                raise ModelError(f"line {lineno}: mult is an spn attribute")
-            loose = free_symbols(a.weight) - symbols
-            if loose:
-                raise ModelError(
-                    f"line {lineno}: weight uses unknown symbol {sorted(loose)[0]!r}")
-        else:
-            if a.mult is None:
-                raise ModelError(f"line {lineno}: spn arcs need mult=")
-            if a.weight is not None:
-                raise ModelError(f"line {lineno}: weight is a vapn attribute")
-
-    for t in m.transitions:
-        if m.kind == "spn":
-            if t.rate is None:
-                raise ModelError(f"transition {t.name!r} needs rate= in an spn model")
-            loose = free_symbols(t.rate) - symbols
-            if loose:
-                raise ModelError(
-                    f"transition {t.name!r} rate uses unknown symbol {sorted(loose)[0]!r}")
-        elif t.rate is not None:
-            raise ModelError(f"transition {t.name!r}: rate is an spn attribute")
-
-    if m.kind == "spn":
-        for p in m.places:
-            if p.init != int(p.init):
-                raise ModelError(f"place {p.name!r}: spn markings are integer token counts")
+    for lineno, end in endpoints:
+        if end not in transitions:
+            raise ModelError(f"line {lineno}: arc endpoint {end!r} is not declared")
+    return PetriModel(name, kind, tuple(places.values()), tuple(transitions.values()),
+                      tuple(arcs), params)
 
 
 def load_model(path) -> PetriModel:

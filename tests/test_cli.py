@@ -339,6 +339,12 @@ NETS = {
     "complex_power": sir_net(s_init=1, i_init=5, incidence="beta*(S-I)^0.5"),
     "infinite_exponent": sir_net(incidence="beta*S*I^1e400"),
     "infinite_number": sir_net(incidence="1e400*S"),
+    "unterminated_quote": sir_net().replace('weight="gamma*I"', 'weight="gamma*II', 1),
+    "infected_transition": sir_net().replace("trans recover", "trans recover infected"),
+    "param_nan": sir_net().replace("param beta=0.3", "param beta=nan"),
+    "init_nan_vapn": sir_net(s_init="nan"),
+    "init_inf_spn": sir_net("spn", s_init="inf"),
+    "init_nan_spn": sir_net("spn", s_init="nan"),
 }
 
 # (argv with {dir} and {net} placeholders, exit code); each must end in one
@@ -355,6 +361,13 @@ ERROR_CASES = {
     "complex_power": (["simulate", "{net}", "--t-end", "1"], 1),
     "infinite_exponent": (["r0", "{net}"], 2),
     "infinite_number": (["simulate", "{net}", "--t-end", "1"], 2),
+    # a malformed model file is a usage error, found before any computation
+    "unterminated_quote": (["r0", "{net}"], 2),
+    "infected_transition": (["simulate", "{net}", "--t-end", "1"], 2),
+    "param_nan": (["r0", "{net}"], 2),
+    "init_nan_vapn": (["simulate", "{net}", "--t-end", "1"], 2),
+    "init_inf_spn": (["simulate", "{net}", "--t-end", "1", "--seed", "1"], 2),
+    "init_nan_spn": (["r0", "{net}"], 2),
     # refused before the sample lists are allocated
     "too_many_samples_vapn": (["simulate", "--builtin", "sirs", "--t-end", "1",
                                "--dt", "1e-300"], 1),

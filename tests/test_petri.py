@@ -83,6 +83,20 @@ def test_parse_spn():
     (lambda t: t.replace('weight="beta*S*I/N"', 'weight="beta*S*I/N" mult=1',
                          1), "mult"),
     (lambda t: t.replace('weight="gamma*I"', 'weight="zeta*I"', 1), "zeta"),
+    (lambda t: t.replace('weight="gamma*I"', 'weight="gamma*II', 1),
+     "line 13: unterminated quote"),
+    (lambda t: t.replace("kind=vapn", "kind=vapn infected"), "line 1: model"),
+    (lambda t: t.replace("trans recover", "trans recover infected"), "line 9: trans"),
+    (lambda t: t.replace('weight="gamma*I"', 'weight="gamma*I" infected', 1),
+     "line 13: arc"),
+    (lambda t: t.replace("param beta=0.3", "param beta = nan"), "line 2: param beta"),
+    (lambda t: t.replace("param beta=0.3", "param beta = 1e400"), "line 2: param beta"),
+    (lambda t: t.replace("place S init=999999", "place S init=nan"),
+     "line 5: init of place 'S'"),
+    (lambda _: SIRS_SPN.replace("place S init=98000", "place S init=inf"),
+     "line 4: init of place 'S'"),
+    (lambda _: SIRS_SPN.replace("place S init=98000", "place S init=nan"),
+     "line 4: init of place 'S'"),
 ])
 def test_parse_errors(mangle, fragment):
     with pytest.raises(ModelError) as err:

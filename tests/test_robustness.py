@@ -4,17 +4,22 @@ One class test: every exception class the package defines derives from
 NgmpnError. Property tests: small generated vapn and spn nets, with weights
 and rates built from places, parameters and constants by + - * / and integer
 or fractional powers, go through the R0 computation and the net's simulator;
-any exception that is not an NgmpnError fails the test.
+any exception that is not an NgmpnError fails the test. A third property
+test mutates one token of each bundled model file, and the result must parse
+or raise a ModelError.
 """
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngmpn
 from ngmpn import NgmpnError, ngm_r0, parse_model, run_spn, run_vapn
+from ngmpn.petri import ModelError, PetriModel
 
 
 def test_every_package_exception_is_an_ngmpn_error():
@@ -107,3 +112,34 @@ def test_generated_vapn_nets_end_in_a_result_or_a_package_error(text):
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 def test_generated_spn_nets_end_in_a_result_or_a_package_error(text):
     run_all(text)
+
+
+ZOO_TEXTS = [p.read_text()
+             for p in sorted(Path(ngmpn.__file__).with_name("models").glob("*.pnet"))]
+
+# what each one-token mutation picks in a file
+MUTABLE = {"quote": re.compile('"'), "duplicate": re.compile(r"\S+"),
+           "drop": re.compile(r"\S+"),
+           "number": re.compile(r"(?<![\w.])\d+(?:\.\d+)?(?:e[-+]?\d+)?(?![\w.])")}
+
+
+@st.composite
+def mutated_zoo_files(draw):
+    """A zoo file with one quote deleted, one word duplicated or dropped, or
+    one number replaced by nan, inf or 1e400."""
+    text = draw(st.sampled_from(ZOO_TEXTS))
+    how = draw(st.sampled_from(sorted(MUTABLE)))
+    start, end = draw(st.sampled_from([m.span() for m in MUTABLE[how].finditer(text)]))
+    piece = text[start:end]
+    new = {"quote": "", "drop": "", "duplicate": f"{piece} {piece}",
+           "number": draw(st.sampled_from(["nan", "inf", "1e400"]))}[how]
+    return text[:start] + new + text[end:]
+
+
+@given(mutated_zoo_files())
+@settings(max_examples=800, derandomize=True, deadline=None, database=None)
+def test_mutated_zoo_files_parse_or_raise_a_model_error(text):
+    try:
+        assert isinstance(parse_model(text), PetriModel)
+    except ModelError:
+        pass
