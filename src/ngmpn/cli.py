@@ -155,10 +155,14 @@ def _parse_grid(items):
         if count < 1:
             raise UsageError(f"--grid {name}: count must be >= 1")
         if count == 1:
-            grid[name.strip()] = [lo]
+            values = [lo]
         else:
             step = (hi - lo) / (count - 1)
-            grid[name.strip()] = [lo + step * i for i in range(count - 1)] + [hi]
+            values = [lo + step * i for i in range(count - 1)] + [hi]
+        # an inf or nan bound, or a step that overflows, is the spec's fault
+        if not all(map(math.isfinite, [lo, hi] + values)):
+            raise UsageError(f"--grid {name}: {spec!r} has a value that is not finite")
+        grid[name.strip()] = values
     if not grid:
         raise UsageError("sweep needs at least one --grid NAME=lo:hi:count")
     return grid

@@ -137,28 +137,24 @@ def mul_(factors) -> Expr:
 
 # ---------------------------------------------------------------- parsing
 
+# one token: a number, a name, an operator or bracket, or a stray character;
+# trailing whitespace makes no token
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<stray>\S))"
 )
 
 
 def _tokenize(text: str):
+    """(kind, text, offset) of each token."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # skip trailing whitespace before declaring an error
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+        if kind == "stray":
+            raise ExprSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     return tokens
 
 
@@ -168,7 +164,9 @@ class _Parser:
     power := atom ('^' unary)?, atom := number | symbol | '(' expr ')'.
     '^' is right-associative and its exponent must reduce to a number.
     Numbers and exponents must be finite. A sum is one Add of its terms, a
-    term after '-' wrapped in a Neg."""
+    term after '-' wrapped in a Neg. A bracketed sum before '+' or '-' is
+    extended, as is a bracketed product before '*'; one on the right stays a
+    single term."""
 
     def __init__(self, text: str):
         self.text = text
@@ -270,7 +268,6 @@ class _Parser:
         if kind == "op" and val == "(":
             e = self.expr()
             self.expect_op(")")
-            # re-flatten so that parenthesised sums merge into sibling sums
             return e
         raise ExprSyntaxError("expected a number, symbol or '('", off)
 
@@ -322,16 +319,20 @@ def to_text(e: Expr) -> str:
         return "-" + _wrap(e.arg, _prec(e.arg) < 1.5)
     if isinstance(e, Add):
         parts = [_wrap(e.terms[0], _prec(e.terms[0]) < 1.0)]
+        # a later term that is a sum keeps its brackets, so that it reparses
+        # as one term: the parser extends only a sum on the left
         for t in e.terms[1:]:
             if isinstance(t, Neg):
                 parts.append("- " + _wrap(t.arg, _prec(t.arg) <= 1.0))
             elif isinstance(t, Constant) and t.value < 0:
                 parts.append("- " + _fmt_number(-t.value))
             else:
-                parts.append("+ " + _wrap(t, _prec(t) < 1.0))
+                parts.append("+ " + _wrap(t, _prec(t) <= 1.0))
         return " ".join(parts)
     if isinstance(e, Mul):
-        return "*".join(_wrap(f, _prec(f) < 2.0) for f in e.factors)
+        # likewise a later factor that is a product
+        return "*".join(_wrap(f, _prec(f) < 2.0 or (i > 0 and isinstance(f, Mul)))
+                        for i, f in enumerate(e.factors))
     if isinstance(e, Div):
         return (_wrap(e.num, _prec(e.num) < 2.0) + "/"
                 + _wrap(e.den, _prec(e.den) <= 2.0))

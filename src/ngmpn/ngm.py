@@ -105,6 +105,8 @@ class _ModelWork(NamedTuple):
     script_v: tuple
     findings: tuple    # A1-A4; A5 needs parameter values
     dfe_places: tuple  # non-infected places
+    dfe_init: tuple    # their initial values
+    total: float       # sum of every place's initial value
     fv: Callable       # generated _fv, see _r0_functions
     dfe: Callable      # generated _dfe
 
@@ -129,11 +131,13 @@ def _derive(m: PetriModel) -> _ModelWork:
     findings = tuple(f for f in validate_assumptions(m) if f.code != "A5")
     zero = {name: Constant(0.0) for name in infected}
     dfe_places = tuple(p.name for p in m.places if not p.infected)
+    dfe_init = tuple(p.init for p in m.places if not p.infected)
     dfe_flows = tuple(simplify(substitute(_expand_total(m, net_flow(m, p)), zero))
                       for p in dfe_places)
     fns = _r0_functions(m, _jacobian(f_rows, infected), _jacobian(v_rows, infected),
                         dfe_places, dfe_flows, _jacobian(dfe_flows, dfe_places))
-    return _ModelWork(script_f, script_v, findings, dfe_places, fns["_fv"], fns["_dfe"])
+    return _ModelWork(script_f, script_v, findings, dfe_places, dfe_init,
+                      sum(p.init for p in m.places), fns["_fv"], fns["_dfe"])
 
 
 def _r0_functions(m: PetriModel, jf, jv, dfe_places, dfe_flows, dfe_jac) -> dict:
@@ -189,14 +193,18 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
     """Disease-free equilibrium: infected places at zero, remaining places at
     a stationary point of their net flows.
 
-    The flow system is solved by damped Newton iteration. If its Jacobian at
-    the initial marking is rank deficient, a token-conservation row (sum of
-    places equals sum of initial markings) is appended; free places keep the
-    basic solution favouring earlier declarations. Annotated values given in
-    ``constraints`` (a mapping or pair list, values numeric or expression
-    text) pin their places; a pin must be a finite, non-negative number. Fails
-    loudly when the residual will not converge or a component turns
-    negative.
+    Annotated values given in ``constraints`` (a mapping or pair list, values
+    numeric or expression text) pin their places; a pin must be a finite,
+    non-negative number. The other non-infected places are the unknowns,
+    solved for by one damped-Newton path that starts from the initial
+    marking. If the flow Jacobian there is rank deficient, a token-conservation
+    row (the unknowns sum to the initial total less the pins) joins the
+    system, and free places keep the basic solution favouring earlier
+    declarations. With every place pinned there are no unknowns and no steps.
+    A value below zero by at most 1e-9 of the largest value is snapped to
+    zero, with a note. Fails loudly when Newton stalls or does not converge,
+    when a component turns negative, or when the final net flows, relative to
+    the flow scale, exceed DFE_TOL.
     """
     bound = m.merged_params(params, NgmError)
     w = per_model(m, _derive)
@@ -222,65 +230,43 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
 
     cols = [j for j, name in enumerate(w.dfe_places) if name not in pinned]
     unknowns = [w.dfe_places[j] for j in cols]
-    init = dict(zip(m.place_names(), m.initial_marking()))
-    values = [pinned.get(name, init[name]) for name in w.dfe_places]
-    pv = tuple(bound.values())
+    values = [pinned.get(name, v) for name, v in zip(w.dfe_places, w.dfe_init)]
+    target = w.total - sum(pinned.values())
+    augmented = False
 
-    def flows_at(u):
-        """Flows, flow scale and the Jacobian's unknown columns at u."""
+    def system(u):
+        """Residuals, flow scale and Jacobian over the unknowns at u: the
+        flows, then the conservation row once it has been added."""
         for j, v in zip(cols, u):
             values[j] = v
-        f, scale, jac = call(m, NgmError, w.dfe, values, pv)
+        f, scale, jac = call(m, NgmError, w.dfe, values, bound.values())
         if pinned:
             jac = [[row[j] for j in cols] for row in jac]
+        if augmented:
+            f, jac = f + [sum(u) - target], jac + [[1.0] * len(u)]
         return f, scale, jac
 
-    def assemble(u, method, residual):
-        marking = {**dict(zip(unknowns, u)), **pinned}
-        return DfeResult(tuple(marking.get(p.name, 0.0) for p in m.places),
-                         method, residual, tuple(notes))
-
-    u = [init[name] for name in unknowns]
-
-    if not unknowns:
-        f, scale, _ = flows_at(u)
-        residual = max(map(abs, f), default=0.0) / scale
-        if residual > DFE_TOL:
-            raise DfeError(f"annotated point is not an equilibrium (residual {residual:.3g})")
-        return assemble(u, "annotated", residual)
-
-    f, scale, jac = flows_at(u)
-    _, rank, _ = linalg.basic_solution(jac, [0.0] * len(f))
-
-    augmented = rank < len(unknowns)
-    target = sum(p.init for p in m.places) - sum(pinned.values())
-    method = ("annotated" if pinned else
-              "conservation-augmented" if augmented else "newton")
+    u = [values[j] for j in cols]
+    f, scale, jac = system(u)
+    augmented = linalg.basic_solution(jac, [0.0] * len(f))[1] < len(u)
     if augmented:
         notes.append("flow Jacobian is rank deficient; added token conservation")
+        f, jac = f + [sum(u) - target], jac + [[1.0] * len(u)]
+    method = ("annotated" if pinned or not unknowns else
+              "conservation-augmented" if augmented else "newton")
 
-    def system(u, f, scale, jac):
-        """The Newton system at u, given the flows there."""
-        if augmented:
-            f.append(sum(u) - target)
-            jac.append([1.0] * len(unknowns))
-        return f, scale, jac
-
-    f, scale, jac = system(u, f, scale, jac)
     res = max(map(abs, f), default=0.0)
     for _ in range(DFE_MAX_ITER):
-        if res <= DFE_TOL * scale:
+        if res <= DFE_TOL * scale or not unknowns:
             break
         step, _, _ = linalg.basic_solution(jac, [-v for v in f])
-        alpha = 1.0
-        while alpha > 2.0 ** -30:
+        for alpha in (0.5 ** k for k in range(30)):   # 1, 1/2, ..., 2**-29
             u_try = [ui + alpha * si for ui, si in zip(u, step)]
-            f_try, scale_try, jac_try = system(u_try, *flows_at(u_try))
+            f_try, scale_try, jac_try = system(u_try)
             res_try = max(map(abs, f_try), default=0.0)
             if res_try < res or res_try <= DFE_TOL * scale:
                 u, f, scale, jac, res = u_try, f_try, scale_try, jac_try, res_try
                 break
-            alpha /= 2.0
         else:
             raise DfeError(f"Newton stalled at residual {res:.3g}")
     else:
@@ -288,18 +274,23 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
                        f"(residual {res:.3g})")
 
     value_scale = max([abs(v) for v in u] + [abs(v) for v in pinned.values()] + [1.0])
-    for j, v in enumerate(u):
-        if v < -1e-9 * value_scale:
-            raise DfeError(f"negative equilibrium value for {unknowns[j]}: {v:.6g}")
-        if v < 0.0:
-            notes.append(f"snapped tiny negative {unknowns[j]} to zero")
-            u[j] = 0.0
+    negative = [j for j, v in enumerate(u) if v < 0.0]
+    for j in negative:
+        if u[j] < -1e-9 * value_scale:
+            raise DfeError(f"negative equilibrium value for {unknowns[j]}: {u[j]:.6g}")
+        notes.append(f"snapped tiny negative {unknowns[j]} to zero")
+        u[j] = 0.0
+    if negative:
+        f, scale, _ = system(u)
 
-    fl, scale, _ = flows_at(u)
-    residual = max(map(abs, fl), default=0.0) / scale
+    # the flows alone: the conservation row, if any, comes after them
+    residual = max(map(abs, f[:len(w.dfe_places)]), default=0.0) / scale
     if residual > DFE_TOL:
-        raise DfeError(f"equilibrium residual {residual:.3g} exceeds tolerance")
-    return assemble(u, method, residual)
+        raise DfeError(f"equilibrium residual {residual:.3g} exceeds tolerance" if unknowns
+                       else f"annotated point is not an equilibrium (residual {residual:.3g})")
+    marking = {**dict(zip(unknowns, u)), **pinned}
+    return DfeResult(tuple(marking.get(p.name, 0.0) for p in m.places),
+                     method, residual, tuple(notes))
 
 
 # --------------------------------------------------- script F and script V

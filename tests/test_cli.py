@@ -382,6 +382,13 @@ ERROR_CASES = {
                                   "--seed", "-1", "--replicates", "2"], 1),
     "unknown_susceptible": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
                              "--susceptible", "Q"], 1),
+    # a grid value that is not finite is the spec's fault, not the model's
+    "grid_bound_overflows": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:1e400:2",
+                              "-p", "delta=0"], 2),
+    "grid_bound_nan": (["sweep", "--builtin", "sirs", "--grid", "beta=nan:0.3:2",
+                        "-p", "delta=0"], 2),
+    "grid_step_overflows": (["sweep", "--builtin", "sirs", "--grid", "beta=-1e308:1e308:3",
+                             "-p", "delta=0"], 2),
 }
 
 

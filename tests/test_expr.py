@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ngmpn.expr import (Add, Constant, Div, EvalError, ExprSyntaxError, Mul,
@@ -83,15 +83,21 @@ def test_difference_of_signed_zeros_is_positive_zero():
 
 
 @given(exprs())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
 def test_print_parse_fixpoint_generated(e):
     once = to_text(e)
     again = to_text(parse_expr(once))
     assert to_text(parse_expr(again)) == again
 
 
+# 0 + 0/(c + (2 - 2)) with c = 2**-52: printed without the inner brackets it
+# reparsed as (c + 2) - 2, which rounds to 0, and the division raised
 @given(exprs(), bindings())
-@settings(max_examples=300, deadline=None)
+@example(Add((Constant(0.0), Div(Constant(0.0), Add((Constant(2.220446049250313e-16),
+                                                    Add((Constant(2.0),
+                                                         Neg(Constant(2.0))))))))),
+         {n: 1.0 for n in NAMES})
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
 def test_reparse_preserves_value(e, b):
     try:
         v = eval_expr(e, b)
@@ -129,7 +135,7 @@ def test_free_symbols():
 # ------------------------------------------------------------------- errors
 
 @pytest.mark.parametrize("text", ["", "a +", "a + * b", "(a", "a b", "1.2.3",
-                                  "a ^", "*a"])
+                                  "a ^", "*a", "a $ b", "a@b"])
 def test_syntax_errors(text):
     with pytest.raises(ExprSyntaxError):
         parse_expr(text)
@@ -150,6 +156,17 @@ def test_syntax_error_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("a + * b")
     assert err.value.offset == 4
+
+
+@pytest.mark.parametrize("text,offset", [("a $ b", 2), ("a@b", 1)])
+def test_stray_character_named_at_its_offset(text, offset):
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+        parse_expr(text)
+    assert err.value.offset == offset
+
+
+def test_trailing_whitespace_is_no_token():
+    assert parse_expr("S*I  ") == Mul((Symbol("S"), Symbol("I")))
 
 
 def test_unbound_symbol_named():
@@ -214,7 +231,7 @@ def test_diff_saturating_incidence():
 
 
 @given(exprs(), bindings(), st.sampled_from(NAMES))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
 def test_diff_matches_central_difference(e, b, wrt):
     d = diff(e, wrt)
     h = 1e-6
@@ -250,7 +267,7 @@ def test_simplify_fixtures(text, expected):
 
 
 @given(exprs(), bindings())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
 def test_simplify_preserves_value(e, b):
     s = simplify(e)
     try:
@@ -261,7 +278,7 @@ def test_simplify_preserves_value(e, b):
 
 
 @given(exprs())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
 def test_simplify_idempotent(e):
     s = simplify(e)
     assert to_text(simplify(s)) == to_text(s)

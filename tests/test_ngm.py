@@ -80,6 +80,43 @@ def test_dfe_constraint_that_is_not_a_place_value_rejected(value):
         compute_dfe(builtin("sirs"), constraints={"S": value})
 
 
+def test_dfe_all_pinned_point_off_equilibrium_rejected():
+    # R = 10 wanes into S, so S and R pinned there have a net flow
+    with pytest.raises(DfeError, match=r"annotated point is not an equilibrium \(residual 1\)"):
+        compute_dfe(builtin("sirs"), constraints={"S": 5e5, "R": 10.0})
+
+
+SNAP_NET = """model snap kind=vapn
+param a = 2.91
+param b = 0.02
+param mu = 0.22
+place S init=100
+place I init=1 infected
+place R init=36
+trans birth
+arc birth -> S weight="a"
+trans infect
+arc S -> infect weight="S*I"
+arc infect -> I weight="S*I"
+trans back
+arc R -> back weight="b*R"
+arc back -> S weight="b*R"
+trans die_s
+arc S -> die_s weight="mu*S"
+trans die_r
+arc R -> die_r weight="mu*R"
+"""
+
+
+def test_dfe_snaps_a_tiny_negative_to_zero():
+    # nothing feeds R, so Newton's one step from R = 36 lands a rounding
+    # error below zero
+    dfe = compute_dfe(parse_model(SNAP_NET))
+    assert dfe.marking == (pytest.approx(2.91 / 0.22, rel=1e-12), 0.0, 0.0)
+    assert dfe.notes == ("snapped tiny negative R to zero",)
+    assert dfe.method == "newton" and dfe.residual <= 1e-10
+
+
 def test_dfe_residual_reported_small_everywhere():
     for mid in ("sirs", "seir", "seeir", "covid", "nonlinear", "patch2",
                 "vectorborne", "sirs_spn", "seir_spn"):
