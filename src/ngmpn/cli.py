@@ -102,10 +102,14 @@ def _rep_path(path: str, i: int) -> str:
     return f"{stem}.rep{i}{ext or '.csv'}"
 
 
+def _check_dt(args):
+    if not 0 < args.dt < math.inf:
+        raise UsageError("--dt must be positive and finite")
+
+
 def cmd_simulate(args) -> int:
     m = _load(args)
-    if not args.dt > 0:
-        raise UsageError("--dt must be positive")
+    _check_dt(args)
     if args.t_end is None or not 0 <= args.t_end < math.inf:
         raise UsageError("--t-end must be given, finite and non-negative")
     params = _params(args)
@@ -170,8 +174,7 @@ def _parse_grid(items):
 
 def cmd_sweep(args) -> int:
     m = _load(args)
-    if not args.dt > 0:
-        raise UsageError("--dt must be positive")
+    _check_dt(args)
     grid = _parse_grid(args.grid)
     config = SweepConfig(dt=args.dt, chunk_t=args.chunk_t,
                          conv_tol=args.conv_tol, max_t=args.max_t,

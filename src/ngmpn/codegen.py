@@ -36,7 +36,7 @@ from .petri import PetriModel, RESERVED_TOTAL
 # names the generated code uses itself: its locals and helpers all look like
 # `_abc12`, plus the builtins it calls; a model name that matches gets a
 # trailing underscore
-_INTERNAL = re.compile(r"_[a-z]*[0-9]*|range|map|float|max|abs")
+_INTERNAL = re.compile(r"_[a-z]*[0-9]*|range|map|float|min|max|abs")
 
 
 def _pyname(name: str, taken: set) -> str:

@@ -23,11 +23,13 @@ passes MAX_EVENTS events.
 Both simulators compile their whole loop to Python source once per model
 (codegen.per_model) and take the parameter values as an argument. The
 weights and rates are written by codegen.emit, so each gives the bits
-eval_expr gives on the same marking; the vapn stepper computes each distinct
-weight and each distinct sum in the weights once per step. Where eval_expr
-would raise (a division by zero, a negative base under a fractional power,
-an overflowing power) the generated code raises too, and codegen.call raises
-the error as SimError naming the model.
+eval_expr gives on the same marking. The vapn stepper runs in blocks of
+sample_every steps and records a sample after each full block, so no step
+tests whether to sample; each step computes the total N only when a weight
+reads it, then each distinct sum and weight once, then updates every place
+in place. Where eval_expr would raise (a division by zero, a negative base
+under a fractional power, an overflowing power) the generated code raises
+too, and codegen.call raises the error as SimError naming the model.
 """
 from __future__ import annotations
 
@@ -82,8 +84,9 @@ def _param_values(m: PetriModel, params) -> tuple:
 # the most samples a run records; at a few hundred bytes per sample a run
 # beyond it would exhaust the memory of a typical host
 MAX_SAMPLES = 10_000_000
-# the most Euler steps a vapn run takes; at 0.3-2.7 million steps per second
-# that is minutes to an hour of stepping
+# the most Euler steps a vapn run takes; at 0.8-5 million steps per second
+# (the zoo's vapn models on one x86-64 core, sampled every 160th step) that
+# is 3 to 21 minutes of stepping
 MAX_STEPS = 1_000_000_000
 # the most events an spn run takes; at about 1.7 million events per second
 # that is about a minute of simulation
@@ -129,37 +132,43 @@ def _build_vapn(m: PetriModel):
             inflow[arc.target].append(w)
         else:
             outflow[arc.source].append(w)
-    weight_lines = assignments(sums) + [f"{w} = {code}" for code, w in weights.items()]
+    step = ([f"{total} = {' + '.join(place_vars)}"]
+            if any(RESERVED_TOTAL in free_symbols(arc.weight) for arc in m.arcs) else [])
+    step += assignments(sums) + [f"{w} = {code}" for code, w in weights.items()]
+    # every weight is computed before any place changes, and each place's new
+    # value reads only its own old value and the weights, so a place can be
+    # updated where it stands
+    for x, p in zip(place_vars, m.places):
+        ins = " + ".join(inflow[p.name]) or "0.0"
+        outs = " + ".join(outflow[p.name]) or "0.0"
+        step += [f"{x} = {x} + _dt*(({ins}) - ({outs}))",
+                 f"if {x} < 0.0:",
+                 f"    {x} = 0.0; _clips += 1"]
 
-    def step_exprs():
-        out = []
-        for i, p in enumerate(m.places):
-            ins = " + ".join(inflow[p.name]) or "0.0"
-            outs = " + ".join(outflow[p.name]) or "0.0"
-            out.append(f"_n{i} = {place_vars[i]} + _dt*(({ins}) - ({outs}))")
-            out.append(f"if _n{i} < 0.0:")
-            out.append(f"    _n{i} = 0.0; _clips += 1")
-        return out
-
-    body = "\n        ".join(weight_lines)
-    steps = "\n        ".join(step_exprs())
-    news = targets([f"_n{i}" for i in range(len(m.places))])
+    body = "\n            ".join(step)
     src = f"""
 def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0, _p):
     ({unpack}) = map(float, _mk)
     ({params}) = _p
     _clips = 0
-    for _k in range(1, _nsteps + 1):
-        {total} = {" + ".join(place_vars)}
-        {body}
-        {steps}
-        ({unpack}) = ({news})
-        if _k % _every == 0:
+    _k = 0
+    while _k < _nsteps:
+        _j = min(_every, _nsteps - _k)
+        for _ in range(_j):
+            {body}
+        _k += _j
+        if _j == _every:
             _tapp(_t0 + _k*_dt)
-            _mapp(({news}))
+            _mapp(({unpack}))
     return ({unpack}), _clips
 """
     return generated(src, f"vapn stepper {m.name}")["_run"]
+
+
+def _check_dt(dt):
+    """Refuse a step that is not positive and finite."""
+    if not 0 < dt < math.inf:
+        raise SimError(f"dt must be positive and finite, got {dt!r}")
 
 
 def _one_step(m: PetriModel, runner, marking, dt: float, p):
@@ -170,8 +179,7 @@ def _one_step(m: PetriModel, runner, marking, dt: float, p):
 
 def step_vapn(m: PetriModel, marking, dt: float, params=None):
     """One synchronous update of all places; returns the new marking."""
-    if not dt > 0:
-        raise SimError("dt must be positive")
+    _check_dt(dt)
     p = _param_values(m, params)
     runner = per_model(m, _build_vapn)
     new, _clips = _one_step(m, runner, _marking(m, marking), dt, p)
@@ -183,12 +191,12 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
     """Repeated step_vapn from the initial (or given) marking.
 
     Records every sample_every-th step plus the final state. A trailing
-    partial step covers t_end when it is not a multiple of dt.
+    partial step covers t_end when it is not a multiple of dt, so a run with
+    t_end > t0 ends at t_end however large dt is.
     """
-    if not dt > 0:
-        raise SimError("dt must be positive")
-    if sample_every < 1:
-        raise SimError("sample_every must be >= 1")
+    _check_dt(dt)
+    if not isinstance(sample_every, numbers.Integral) or sample_every < 1:
+        raise SimError(f"sample_every must be an integer >= 1, got {sample_every!r}")
     span = t_end - t0
     if not 0 <= span < math.inf:
         raise SimError("t_end must be finite and not before t0")
@@ -208,7 +216,9 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
     final, clips = call(m, SimError, runner, marking, nsteps, dt, sample_every,
                         times.append, markings.append, t0, p)
     t = t0 + nsteps * dt
-    if remainder > 1e-9 * dt:
+    # a remainder within rounding of a whole step is no step; with no whole
+    # step (dt > span) the remainder is the span, and always stepped
+    if remainder > 1e-9 * min(dt, span):
         final, c2 = _one_step(m, runner, final, remainder, p)
         clips += c2
         t = t_end

@@ -376,6 +376,15 @@ ERROR_CASES = {
     # 1001 samples, but refused before any of its 1e12 Euler steps
     "too_many_steps_vapn": (["simulate", "--builtin", "sirs", "--t-end", "1",
                              "--dt", "1e-12", "--sample-every", "1000000000"], 1),
+    # a step that is not positive and finite is the command line's fault
+    "dt_infinite_simulate": (["simulate", "--builtin", "sirs", "--t-end", "10",
+                              "--dt", "inf"], 2),
+    "dt_nan_simulate": (["simulate", "--builtin", "sirs", "--t-end", "10",
+                         "--dt", "nan"], 2),
+    "dt_infinite_sweep": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
+                           "--dt", "inf"], 2),
+    "dt_zero_sweep": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
+                       "--dt", "0"], 2),
     "negative_seed": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
                        "--seed", "-1"], 1),
     "negative_seed_replicates": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",

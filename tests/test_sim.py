@@ -65,8 +65,7 @@ def test_disease_free_marking_is_fixed_point():
     assert mk == (1000000.0, 0.0, 0.0)
 
 
-def test_step_clips_negative_stock():
-    text = """\
+DRAIN = """\
 model drain kind=vapn
 param k=3
 place X init=1 infected
@@ -75,7 +74,10 @@ trans leak
 arc X -> leak weight="k*X"
 arc leak -> Y weight="k*X"
 """
-    m = parse_model(text)
+
+
+def test_step_clips_negative_stock():
+    m = parse_model(DRAIN)
     assert step_vapn(m, (1.0, 0.0), 1.0) == (0.0, 3.0)
     traj = run_vapn(m, 1.0, dt=1.0)
     assert traj.clipping_events == 1
@@ -106,6 +108,63 @@ def test_sample_every_thins_output():
     traj = run_vapn(builtin("sirs"), 10.0, dt=0.1, sample_every=10)
     assert len(traj.times) == 11
     assert traj.times[1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("every", [1, 3, 7, 20, 21])
+@pytest.mark.parametrize("partial", [False, True], ids=["whole", "partial"])
+@pytest.mark.parametrize("name,dt", [("sirs", 0.1), ("nonlinear", 0.1), ("patch2", 0.1),
+                                     ("drain", 0.5)])
+def test_run_equals_a_chain_of_single_steps(name, dt, partial, every):
+    # 20 whole steps sampled every `every`-th, plus half a step when partial:
+    # every time, marking and clip count bit for bit as one step at a time
+    m = parse_model(DRAIN) if name == "drain" else builtin(name)
+    nsteps = 20
+    t_end = nsteps * dt + (dt / 2 if partial else 0.0)
+    traj = run_vapn(m, t_end, dt=dt, sample_every=every)
+
+    mk = m.initial_marking()
+    times, markings, clips = [0.0], [mk], 0
+
+    def step(h):
+        nonlocal mk, clips
+        clips += run_vapn(m, h, dt=h, marking0=mk).clipping_events
+        mk = step_vapn(m, mk, h)
+
+    for k in range(1, nsteps + 1):
+        step(dt)
+        if k % every == 0:
+            times.append(0.0 + k * dt)
+            markings.append(mk)
+    t = 0.0 + nsteps * dt
+    if partial:
+        step(t_end - nsteps * dt)
+        t = t_end
+    if times[-1] != t:
+        times.append(t)
+        markings.append(mk)
+
+    def hexes(values):
+        return [float.hex(float(v)) for v in values]
+
+    assert hexes(traj.times) == hexes(times)
+    assert [hexes(x) for x in traj.markings] == [hexes(x) for x in markings]
+    assert traj.clipping_events == clips
+    assert name != "drain" or clips == 1
+
+
+@pytest.mark.parametrize("t_end,dt", [(10.0, 1e10), (10.0, 1e11), (10.0, 1e300),
+                                      (1e-10, 1.0)])
+def test_run_ends_at_t_end_however_large_dt(t_end, dt):
+    m = builtin("sirs")
+    traj = run_vapn(m, t_end, dt=dt)
+    assert traj.times == (0.0, t_end)
+    assert traj.final() == step_vapn(m, m.initial_marking(), t_end)
+
+
+@pytest.mark.parametrize("every", [2.5, 1.0, 0, -3, "7"])
+def test_sample_every_must_be_a_whole_number(every):
+    with pytest.raises(SimError, match="sample_every"):
+        run_vapn(builtin("sirs"), 10.0, dt=0.1, sample_every=every)
 
 
 def test_run_matches_hand_rolled_euler_exactly():
@@ -515,12 +574,13 @@ def test_one_compiled_stepper_serves_every_parameter_point(monkeypatch):
 
 
 def test_names_clashing_with_generated_code_are_renamed():
-    # a place named like a builtin the stepper loop uses, parameters named
-    # like its locals, and a keyword
+    # a place and a parameter named like builtins the stepper loop uses,
+    # parameters named like its locals, and a keyword
     text = """\
 model clash kind=vapn
 param _dt=0.5
 param _p=0.25
+param min=1
 place range init=10 infected
 place lambda init=0
 trans t
@@ -536,6 +596,15 @@ arc t -> lambda weight="_dt*_p*range"
 def test_dt_must_be_positive():
     with pytest.raises(SimError):
         run_vapn(builtin("sirs"), 1.0, dt=0.0)
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan])
+def test_dt_must_be_finite(dt):
+    m = builtin("sirs")
+    with pytest.raises(SimError, match="dt"):
+        run_vapn(m, 1.0, dt=dt)
+    with pytest.raises(SimError, match="dt"):
+        step_vapn(m, m.initial_marking(), dt)
 
 
 # ------------------------------------------------------ arithmetic failures
