@@ -9,11 +9,17 @@ treats it like any other symbol.
 
 There is one node for sums: subtraction is an ``Add`` whose subtracted term
 is a ``Neg``, so ``a - b - c`` parses to ``Add((a, Neg(b), Neg(c)))``.
+
+``simplify`` merges like terms: products whose non-constant factors are the
+same multiset of nodes, compared by node equality. Printing plays no part, so
+two different trees that print alike, such as ``a*(b/c)`` and ``a*b/c``, are
+never merged.
 """
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NgmpnError
@@ -41,8 +47,6 @@ class UnboundSymbolError(EvalError):
 
 class Expr:
     """Base class for expression nodes."""
-
-    __match_args__ = ()
 
     def __str__(self) -> str:
         return to_text(self)
@@ -460,14 +464,16 @@ def _d(e: Expr, x: str) -> Expr:
 
 # ---------------------------------------------------------------- simplify
 
-def _as_term(sign: float, e: Expr):
-    # split a product into (numeric coefficient, non-constant factors)
+def _split_term(coeff: float, e: Expr, in_sum: bool):
+    """(coefficient, non-constant factors) of coeff times the simplified node
+    e; its constants are multiplied into coeff in factor order. In a sum a
+    quotient also gives up its numerator's coefficient, so that 2*x/y and x/y
+    are like terms."""
     if isinstance(e, Constant):
-        return sign * e.value, ()
+        return coeff * e.value, ()
     if isinstance(e, Neg):
-        return _as_term(-sign, e.arg)
+        return _split_term(-coeff, e.arg, in_sum)
     if isinstance(e, Mul):
-        coeff = sign
         factors = []
         for f in e.factors:
             if isinstance(f, Constant):
@@ -475,13 +481,10 @@ def _as_term(sign: float, e: Expr):
             else:
                 factors.append(f)
         return coeff, tuple(factors)
-    if isinstance(e, Div):
-        # pull the numeric coefficient out of the numerator so 2*x/y and
-        # x/y merge as like terms
-        coeff, factors = _as_term(sign, e.num)
-        body = mul_(factors) if factors else Constant(1.0)
-        return coeff, (Div(body, e.den),)
-    return sign, (e,)
+    if in_sum and isinstance(e, Div):
+        coeff, factors = _split_term(coeff, e.num, True)
+        return coeff, (Div(mul_(factors), e.den),)
+    return coeff, (e,)
 
 
 def _collect_terms(e: Expr, sign: float, out: list):
@@ -509,7 +512,13 @@ def _rebuild_term(coeff: float, factors: tuple) -> Expr:
 
 def simplify(e: Expr) -> Expr:
     """Constant folding, 0/1 identities and like-term merging. Idempotent and
-    value-preserving (within float roundoff when coefficients combine)."""
+    value-preserving (within float roundoff when coefficients combine).
+
+    Like terms are products with the same multiset of non-constant factor
+    nodes, in any order; in a sum a quotient counts as one factor once its
+    numerator's coefficient is pulled out. Nodes are compared by equality,
+    never by their printed form. Merged terms keep the position and factors
+    of their first occurrence."""
     if isinstance(e, (Constant, Symbol)):
         return e
     if isinstance(e, Neg):
@@ -532,33 +541,13 @@ def simplify(e: Expr) -> Expr:
                 pass
         return Pow(b, e.exponent)
     if isinstance(e, Mul):
-        coeff = 1.0
-        out = []
-        stack = [simplify(f) for f in e.factors]
-        for f in stack:
-            if isinstance(f, Constant):
-                coeff *= f.value
-            elif isinstance(f, Neg):
-                coeff = -coeff
-                if isinstance(f.arg, Mul):
-                    for g in f.arg.factors:
-                        if isinstance(g, Constant):
-                            coeff *= g.value
-                        else:
-                            out.append(g)
-                else:
-                    out.append(f.arg)
-            elif isinstance(f, Mul):
-                for g in f.factors:
-                    if isinstance(g, Constant):
-                        coeff *= g.value
-                    else:
-                        out.append(g)
-            else:
-                out.append(f)
+        coeff, factors = 1.0, ()
+        for f in e.factors:
+            coeff, more = _split_term(coeff, simplify(f), False)
+            factors += more
         if coeff == 0.0:
             return Constant(0.0)
-        return _rebuild_term(coeff, tuple(out))
+        return _rebuild_term(coeff, factors)
     if isinstance(e, Div):
         u = simplify(e.num)
         v = simplify(e.den)
@@ -574,23 +563,18 @@ def simplify(e: Expr) -> Expr:
         raw = []
         for t in e.terms:
             _collect_terms(simplify(t), 1.0, raw)
-        order = []           # canonical keys in first-seen order
-        merged = {}          # key -> [coeff, representative factors]
+        merged = {}          # like-term key -> [coeff, first-seen factors]
         for sign, t in raw:
-            coeff, factors = _as_term(sign, t)
-            key = tuple(sorted(to_text(f) for f in factors))
+            coeff, factors = _split_term(sign, t, True)
+            # the factors as a multiset of nodes; none or one need no count
+            key = factors if len(factors) < 2 else frozenset(Counter(factors).items())
             if key in merged:
                 merged[key][0] += coeff
             else:
                 merged[key] = [coeff, factors]
-                order.append(key)
         terms = []
-        for key in order:
-            coeff, factors = merged[key]
-            if coeff == 0.0:
-                continue
-            terms.append(_rebuild_term(coeff, factors))
-        if not terms:
-            return Constant(0.0)
+        for coeff, factors in merged.values():
+            if coeff != 0.0:
+                terms.append(_rebuild_term(coeff, factors))
         return add_(terms)
     raise TypeError(f"not an expression node: {e!r}")

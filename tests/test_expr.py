@@ -261,9 +261,21 @@ def test_diff_matches_central_difference(e, b, wrt):
     ("x + 0", "x"),
     ("2*3", "6"),
     ("a + a + a", "3*a"),
+    ("b*a - a*b", "0"),
+    ("x*y*x - x*x*y", "0"),
+    ("S*I*beta + beta*I*S", "2*S*I*beta"),
 ])
 def test_simplify_fixtures(text, expected):
     assert to_text(simplify(parse_expr(text))) == expected
+
+
+def test_terms_that_print_alike_are_not_merged():
+    # a*(b/c) and a*b/c both print as a*b/c, but a*b overflows first
+    e = parse_expr("(a*(b/c))^2 - (a*b/c)^2")
+    s = simplify(e)
+    assert s != Constant(0.0)
+    b = {"a": 1e200, "b": 1e200, "c": 1e300}
+    assert eval_expr(s, b) == eval_expr(e, b) == -math.inf
 
 
 @given(exprs(), bindings())
