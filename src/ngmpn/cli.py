@@ -102,16 +102,31 @@ def _rep_path(path: str, i: int) -> str:
     return f"{stem}.rep{i}{ext or '.csv'}"
 
 
-def _check_dt(args):
-    if not 0 < args.dt < math.inf:
-        raise UsageError("--dt must be positive and finite")
+# each numeric option of simulate and sweep, with the condition the library
+# puts on it: a value outside it is the command line's fault, found before
+# any work
+_OPTION_RANGES = [
+    ("dt", lambda v: 0 < v < math.inf, "positive and finite"),
+    ("t_end", lambda v: v is not None and 0 <= v < math.inf,
+     "given, finite and non-negative"),
+    ("chunk_t", lambda v: 0 < v < math.inf, "positive and finite"),
+    ("max_t", lambda v: 0 < v < math.inf, "positive and finite"),
+    ("conv_tol", lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    ("sample_dt", lambda v: v > 0, "positive"),
+    ("sample_every", lambda v: v >= 1, "an integer >= 1"),
+    ("replicates", lambda v: v >= 1, "an integer >= 1"),
+]
+
+
+def _check_options(args):
+    for name, ok, what in _OPTION_RANGES:
+        if hasattr(args, name) and not ok(getattr(args, name)):
+            raise UsageError(f"--{name.replace('_', '-')} must be {what}")
 
 
 def cmd_simulate(args) -> int:
     m = _load(args)
-    _check_dt(args)
-    if args.t_end is None or not 0 <= args.t_end < math.inf:
-        raise UsageError("--t-end must be given, finite and non-negative")
+    _check_options(args)
     params = _params(args)
     if m.kind == "vapn":
         if args.replicates != 1:
@@ -174,7 +189,7 @@ def _parse_grid(items):
 
 def cmd_sweep(args) -> int:
     m = _load(args)
-    _check_dt(args)
+    _check_options(args)
     grid = _parse_grid(args.grid)
     config = SweepConfig(dt=args.dt, chunk_t=args.chunk_t,
                          conv_tol=args.conv_tol, max_t=args.max_t,

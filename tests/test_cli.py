@@ -385,6 +385,23 @@ ERROR_CASES = {
                            "--dt", "inf"], 2),
     "dt_zero_sweep": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
                        "--dt", "0"], 2),
+    # so is every other numeric option the library would refuse
+    "sample_every_zero": (["simulate", "--builtin", "sirs", "--t-end", "1",
+                           "--sample-every", "0"], 2),
+    "sample_dt_zero": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
+                        "--seed", "1", "--sample-dt", "0"], 2),
+    "sample_dt_nan": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
+                       "--seed", "1", "--sample-dt", "nan"], 2),
+    "replicates_zero": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
+                         "--seed", "1", "--replicates", "0"], 2),
+    "chunk_t_zero_sweep": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
+                            "--chunk-t", "0"], 2),
+    "max_t_infinite_sweep": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
+                              "--max-t", "inf"], 2),
+    "conv_tol_nan_sweep": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
+                            "--conv-tol", "nan"], 2),
+    "conv_tol_negative_sweep": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
+                                 "--conv-tol", "-1"], 2),
     "negative_seed": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
                        "--seed", "-1"], 1),
     "negative_seed_replicates": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
