@@ -10,6 +10,7 @@ iteration for eigenvalues. Matrices are lists of row lists.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .errors import NgmpnError
 
@@ -54,37 +55,40 @@ def norm1(a) -> float:
     """Maximum absolute column sum."""
     if not a or not a[0]:
         return 0.0
-    return max(sum(abs(row[j]) for row in a) for j in range(len(a[0])))
+    return max([sum(map(abs, col)) for col in zip(*a)])
 
 
 def max_abs(a) -> float:
-    return max((abs(v) for row in a for v in row), default=0.0)
+    return max(map(abs, chain.from_iterable(a)), default=0.0)
 
 
 def invert(a):
     """Inverse via Gauss-Jordan on [a | I]; returns (inverse, condition) where
     condition is the 1-norm estimate ||a||_1 * ||a^-1||_1."""
     n = len(a)
-    m = [row[:] + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(a)]
+    m = [row + [0.0] * n for row in a]
+    for i, row in enumerate(m):
+        row[n + i] = 1.0
     scale = max_abs(a)
     tiny = 1e-14 * max(scale, 1.0)
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) <= tiny:
+        # the first row of largest magnitude, as max() picks it
+        piv, best = col, abs(m[col][col])
+        for r in range(col + 1, n):
+            if abs(m[r][col]) > best:
+                piv, best = r, abs(m[r][col])
+        if best <= tiny:
             raise SingularMatrixError(f"pivot {col} below tolerance")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        prow = m[col]
+        prow = m[piv]
         d = prow[col]
-        for c in range(2 * n):
-            prow[c] /= d
-        for r in range(n):
+        m[piv] = m[col]
+        m[col] = prow = [v / d for v in prow]
+        for r, row in enumerate(m):
             if r == col:
                 continue
-            f = m[r][col]
+            f = row[col]
             if f != 0.0:
-                for c in range(2 * n):
-                    m[r][c] -= f * prow[c]
+                m[r] = [x - f * p for x, p in zip(row, prow)]
     inv = [row[n:] for row in m]
     cond = norm1(a) * norm1(inv)
     return inv, cond
@@ -147,8 +151,9 @@ def _balance(a):
     while not done:
         done = True
         for i in range(n):
-            r = sum(abs(a[i][j]) for j in range(n) if j != i)
-            c = sum(abs(a[j][i]) for j in range(n) if j != i)
+            row = a[i]
+            r = sum(map(abs, row[:i] + row[i + 1:]))
+            c = sum([abs(a[j][i]) for j in range(n) if j != i])
             if r == 0.0 or c == 0.0:
                 continue
             f = 1.0
@@ -163,8 +168,7 @@ def _balance(a):
                 f /= radix
             if (c + r) < 0.95 * s and f != 1.0:
                 done = False
-                for j in range(n):
-                    a[i][j] /= f
+                a[i] = [v / f for v in row]
                 for j in range(n):
                     a[j][i] *= f
     return a
@@ -334,7 +338,7 @@ def spectral_radius_of(a):
     eigs = eigenvalues(a)
     if not eigs:
         return 0.0, complex(0.0), [], False
-    radius = max(abs(ev) for ev in eigs)
+    radius = max(map(abs, eigs))
     near = [ev for ev in eigs if abs(ev) >= radius - 1e-12 * (1.0 + radius)]
     dominant = max(near, key=lambda ev: (ev.real, ev.imag))
     tie = len({(round(ev.real, 9), round(abs(ev.imag), 9)) for ev in near}) > 1

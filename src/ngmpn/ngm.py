@@ -28,6 +28,14 @@ given as text is still parsed and evaluated). The compiled functions give
 the bits eval_expr gives on the same values; where eval_expr would raise,
 they raise too, and codegen.call raises the error as NgmError naming the
 model.
+
+Finding A5, that every eigenvalue of -V has a negative real part, needs the
+numbers. Under the model assumptions V is a Z-matrix, with no positive entry
+off the diagonal (van den Driessche & Watmough 2002, Lemma 1). A Z-matrix
+whose inverse has no negative entry is a non-singular M-matrix, and its
+eigenvalues all have positive real parts (Berman & Plemmons, ch. 6). So A5
+is decided from the V^-1 that K needs anyway. Only when V is not a Z-matrix,
+or V^-1 has a negative entry, do the eigenvalues of -V decide it.
 """
 from __future__ import annotations
 
@@ -47,9 +55,11 @@ from .petri import (PetriModel, Finding, RESERVED_TOTAL, _arc_term, net_flow,
 
 
 # the DFE solve: the largest net flow relative to the flow scale that counts
-# as an equilibrium, and the most Newton iterations
+# as an equilibrium, the most Newton iterations, and the step lengths the line
+# search tries, 1, 1/2, ..., 2**-29
 DFE_TOL = 1e-10
 DFE_MAX_ITER = 100
+_STEP_LENGTHS = tuple(0.5 ** k for k in range(30))
 
 
 class NgmError(NgmpnError):
@@ -66,6 +76,7 @@ class DfeResult:
     method: str      # annotated | newton | conservation-augmented
     residual: float  # largest remaining net flow relative to the flow scale
     notes: tuple = ()
+    params: tuple = ()  # the parameter values solved at, in declaration order
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,10 +259,14 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
 
     u = [values[j] for j in cols]
     f, scale, jac = system(u)
-    augmented = linalg.basic_solution(jac, [0.0] * len(f))[1] < len(u)
+    # the pivots depend on jac alone, so one elimination gives both the rank
+    # and, unless a conservation row joins jac, the first Newton step
+    step, rank, _ = linalg.basic_solution(jac, [-v for v in f])
+    augmented = rank < len(u)
     if augmented:
         notes.append("flow Jacobian is rank deficient; added token conservation")
         f, jac = f + [sum(u) - target], jac + [[1.0] * len(u)]
+        step = None
     method = ("annotated" if pinned or not unknowns else
               "conservation-augmented" if augmented else "newton")
 
@@ -259,13 +274,15 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
     for _ in range(DFE_MAX_ITER):
         if res <= DFE_TOL * scale or not unknowns:
             break
-        step, _, _ = linalg.basic_solution(jac, [-v for v in f])
-        for alpha in (0.5 ** k for k in range(30)):   # 1, 1/2, ..., 2**-29
+        if step is None:
+            step, _, _ = linalg.basic_solution(jac, [-v for v in f])
+        for alpha in _STEP_LENGTHS:
             u_try = [ui + alpha * si for ui, si in zip(u, step)]
             f_try, scale_try, jac_try = system(u_try)
             res_try = max(map(abs, f_try), default=0.0)
             if res_try < res or res_try <= DFE_TOL * scale:
                 u, f, scale, jac, res = u_try, f_try, scale_try, jac_try, res_try
+                step = None
                 break
         else:
             raise DfeError(f"Newton stalled at residual {res:.3g}")
@@ -273,7 +290,7 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
         raise DfeError(f"did not converge within {DFE_MAX_ITER} iterations "
                        f"(residual {res:.3g})")
 
-    value_scale = max([abs(v) for v in u] + [abs(v) for v in pinned.values()] + [1.0])
+    value_scale = max([*map(abs, u), *map(abs, pinned.values()), 1.0])
     negative = [j for j, v in enumerate(u) if v < 0.0]
     for j in negative:
         if u[j] < -1e-9 * value_scale:
@@ -290,7 +307,7 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
                        else f"annotated point is not an equilibrium (residual {residual:.3g})")
     marking = {**dict(zip(unknowns, u)), **pinned}
     return DfeResult(tuple(marking.get(p.name, 0.0) for p in m.places),
-                     method, residual, tuple(notes))
+                     method, residual, tuple(notes), tuple(bound.values()))
 
 
 # --------------------------------------------------- script F and script V
@@ -346,6 +363,26 @@ def _split(m: PetriModel, classes: dict):
 
 # ----------------------------------------------------------------- driver
 
+def _transfer_stability(V, Vinv) -> Finding:
+    """Finding A5: every eigenvalue of -V has a negative real part.
+
+    Satisfied without an eigen solve when V is a Z-matrix and V^-1 has no
+    negative entry (the M-matrix criterion, see the module docstring);
+    otherwise the eigenvalues of -V decide, and a violation lists them.
+    """
+    if (all(v <= 0.0 for i, row in enumerate(V) for j, v in enumerate(row) if i != j)
+            and all(v >= 0.0 for row in Vinv for v in row)):
+        stable = True
+    else:
+        neg_v = linalg.eigenvalues([[-v for v in row] for row in V])
+        stable = all(ev.real < 0.0 for ev in neg_v)
+    return Finding(
+        "A5", "satisfied" if stable else "violated",
+        "transfer flows decay at the DFE" if stable else
+        "the negated transfer matrix has an eigenvalue with non-negative "
+        "real part: " + ", ".join(f"{ev.real:.6g}{ev.imag:+.6g}j" for ev in neg_v))
+
+
 def ngm_r0(m: PetriModel, params=None, constraints=None) -> NgmResult:
     """Full next-generation-matrix computation for a model.
 
@@ -355,11 +392,10 @@ def ngm_r0(m: PetriModel, params=None, constraints=None) -> NgmResult:
     """
     if not m.infected_places():
         raise NgmError("model declares no infected places")
-    bound = m.merged_params(params, NgmError)
+    dfe = compute_dfe(m, constraints=constraints, params=params)
     w = per_model(m, _derive)
-    dfe = compute_dfe(m, constraints=constraints, params=bound)
 
-    F, V = call(m, NgmError, w.fv, dfe.marking, tuple(bound.values()))
+    F, V = call(m, NgmError, w.fv, dfe.marking, dfe.params)
 
     try:
         Vinv, cond = linalg.invert(V)
@@ -379,16 +415,10 @@ def ngm_r0(m: PetriModel, params=None, constraints=None) -> NgmResult:
         "places": m.place_names(),
     }
 
-    neg_v = linalg.eigenvalues([[-v for v in row] for row in V])
-    stable = all(ev.real < 0.0 for ev in neg_v)
     findings = list(w.findings)
-    findings.append(Finding(
-        "A5", "satisfied" if stable else "violated",
-        "transfer flows decay at the DFE" if stable else
-        "the negated transfer matrix has an eigenvalue with non-negative "
-        "real part: " + ", ".join(f"{ev.real:.6g}{ev.imag:+.6g}j" for ev in neg_v)))
+    findings.append(_transfer_stability(V, Vinv))
 
-    fmax = max((abs(v) for row in F for v in row), default=0.0)
+    fmax = linalg.max_abs(F)
     neg_entries = [(i, j) for i, row in enumerate(F) for j, v in enumerate(row)
                    if v < -1e-12 * (1.0 + fmax)]
     if neg_entries:
