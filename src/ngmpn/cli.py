@@ -104,17 +104,17 @@ def _rep_path(path: str, i: int) -> str:
 
 # each numeric option of simulate and sweep, with the condition the library
 # puts on it: a value outside it is the command line's fault, found before
-# any work
+# any work. simulate leaves the options of one simulator unset (None).
 _OPTION_RANGES = [
-    ("dt", lambda v: 0 < v < math.inf, "positive and finite"),
+    ("dt", lambda v: v is None or 0 < v < math.inf, "positive and finite"),
     ("t_end", lambda v: v is not None and 0 <= v < math.inf,
      "given, finite and non-negative"),
     ("chunk_t", lambda v: 0 < v < math.inf, "positive and finite"),
     ("max_t", lambda v: 0 < v < math.inf, "positive and finite"),
     ("conv_tol", lambda v: 0 <= v < math.inf, "finite and >= 0"),
-    ("sample_dt", lambda v: v > 0, "positive"),
-    ("sample_every", lambda v: v >= 1, "an integer >= 1"),
-    ("replicates", lambda v: v >= 1, "an integer >= 1"),
+    ("sample_dt", lambda v: v is None or v > 0, "positive"),
+    ("sample_every", lambda v: v is None or v >= 1, "an integer >= 1"),
+    ("replicates", lambda v: v is None or v >= 1, "an integer >= 1"),
 ]
 
 
@@ -124,24 +124,42 @@ def _check_options(args):
             raise UsageError(f"--{name.replace('_', '-')} must be {what}")
 
 
+# the options of simulate that only one simulator reads; giving one for a
+# model of the other kind is a usage error, not an option silently ignored
+_SIMULATOR_OPTIONS = {
+    "vapn": ("deterministic", ("dt", "sample_every")),
+    "spn": ("stochastic", ("sample_dt", "replicates")),
+}
+
+
+def _simulator_options(args, kind) -> dict:
+    """The options given for a `kind` model's simulator, by keyword."""
+    for other, (what, names) in _SIMULATOR_OPTIONS.items():
+        if other == kind:
+            continue
+        for name in names:
+            if getattr(args, name) is not None:
+                raise UsageError(f"--{name.replace('_', '-')} applies to {what} "
+                                 f"models only")
+    return {name: getattr(args, name) for name in _SIMULATOR_OPTIONS[kind][1]
+            if getattr(args, name) is not None}
+
+
 def cmd_simulate(args) -> int:
     m = _load(args)
     _check_options(args)
+    options = _simulator_options(args, m.kind)
     params = _params(args)
     if m.kind == "vapn":
-        if args.replicates != 1:
-            raise UsageError("--replicates applies to stochastic models only")
-        trajs = [run_vapn(m, args.t_end, dt=args.dt, params=params,
-                          sample_every=args.sample_every)]
+        trajs = [run_vapn(m, args.t_end, params=params, **options)]
     else:
         seed = _seed(args)
-        if args.replicates == 1:
-            trajs = [run_spn(m, args.t_end, seed=seed, params=params,
-                             sample_dt=args.sample_dt)]
+        replicates = options.pop("replicates", 1)
+        if replicates == 1:
+            trajs = [run_spn(m, args.t_end, seed=seed, params=params, **options)]
         else:
-            trajs = run_spn_replicates(m, args.t_end, seed=seed,
-                                       replicates=args.replicates,
-                                       params=params, sample_dt=args.sample_dt)
+            trajs = run_spn_replicates(m, args.t_end, seed=seed, params=params,
+                                       replicates=replicates, **options)
     if args.output:
         if len(trajs) == 1:
             with open(args.output, "w") as fh:
@@ -242,12 +260,14 @@ def _parser():
 
     p = sub.add_parser("simulate", help="run one model, write trajectory CSV")
     common(p)
-    p.add_argument("--dt", type=float, default=0.1)
+    # unset options take the simulator's defaults: --dt 0.1 and
+    # --sample-every 1 for vapn, --sample-dt 1.0 and --replicates 1 for spn
+    p.add_argument("--dt", type=float)
     p.add_argument("--t-end", type=float, dest="t_end")
     p.add_argument("--seed", type=int)
-    p.add_argument("--replicates", type=int, default=1)
-    p.add_argument("--sample-every", type=int, default=1, dest="sample_every")
-    p.add_argument("--sample-dt", type=float, default=1.0, dest="sample_dt")
+    p.add_argument("--replicates", type=int)
+    p.add_argument("--sample-every", type=int, dest="sample_every")
+    p.add_argument("--sample-dt", type=float, dest="sample_dt")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_simulate)
 

@@ -156,6 +156,19 @@ def test_simulate_vapn_rejects_replicates(capsys):
     assert code == 2 and "stochastic" in err
 
 
+@pytest.mark.parametrize("model,option,value,kind", [
+    ("sirs", "--sample-dt", "0.5", "stochastic"),
+    ("sirs", "--replicates", "1", "stochastic"),
+    ("sirs_spn", "--dt", "0.3", "deterministic"),
+    ("sirs_spn", "--sample-every", "5", "deterministic"),
+])
+def test_simulate_refuses_the_other_simulators_option(capsys, model, option, value, kind):
+    code, out, err = run(capsys, "simulate", "--builtin", model, "--t-end", "1",
+                         "--seed", "3", option, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {option} applies to {kind} models only\n"
+
+
 def test_simulate_spn_seed_reproducible(capsys):
     args = ("simulate", "--builtin", "sirs_spn", "--t-end", "2",
             "--seed", "42", "--sample-dt", "0.5")
@@ -402,6 +415,15 @@ ERROR_CASES = {
                             "--conv-tol", "nan"], 2),
     "conv_tol_negative_sweep": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
                                  "--conv-tol", "-1"], 2),
+    # an option of the other simulator is refused, not silently ignored
+    "sample_dt_on_vapn": (["simulate", "--builtin", "sirs", "--t-end", "1",
+                           "--sample-dt", "0.5", "--seed", "3"], 2),
+    "sample_every_on_spn": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
+                             "--sample-every", "5", "--seed", "3"], 2),
+    "dt_on_spn": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
+                   "--dt", "0.3", "--seed", "3"], 2),
+    "replicates_one_on_vapn": (["simulate", "--builtin", "sirs", "--t-end", "1",
+                                "--replicates", "1"], 2),
     "negative_seed": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
                        "--seed", "-1"], 1),
     "negative_seed_replicates": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
