@@ -63,6 +63,46 @@ def test_basic_solution_skips_zero_column():
     assert rank == 1 and list(pivots) == [1]
 
 
+@st.composite
+def systems(draw):
+    """(a, b): an nrow x ncol matrix, square or not, of full rank or not, and
+    a finite right-hand side. A rank-deficient matrix is a sum of `rank`
+    outer products of small integer vectors, so its rank is exact in floats;
+    columns of zeros and repeated rows come with it."""
+    nrow = draw(st.integers(1, 5))
+    ncol = draw(st.integers(1, 5))
+    small = st.integers(-3, 3).map(float)
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, min(nrow, ncol)))
+        us = [draw(st.lists(small, min_size=nrow, max_size=nrow)) for _ in range(rank)]
+        vs = [draw(st.lists(small, min_size=ncol, max_size=ncol)) for _ in range(rank)]
+        a = [[sum(u[i] * v[j] for u, v in zip(us, vs)) + 0.0 for j in range(ncol)]
+             for i in range(nrow)]
+    else:
+        entry = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        a = [draw(st.lists(entry, min_size=ncol, max_size=ncol)) for _ in range(nrow)]
+    b = draw(st.lists(st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False),
+                      min_size=nrow, max_size=nrow))
+    return a, b
+
+
+@given(systems())
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+def test_basic_solution_pivots_do_not_depend_on_the_right_hand_side(system):
+    # compute_dfe takes the rank test and the first Newton step from one
+    # call with the step's right-hand side: that holds only if the rank and
+    # the pivots come from the matrix alone, and if the call leaves its
+    # inputs as they were, so that its x is the x a separate solve gives
+    a, b = system
+    a_before, b_before = [row[:] for row in a], b[:]
+    _, rank0, pivots0 = basic_solution(a, [0.0] * len(a))
+    x, rank, pivots = basic_solution(a, b)
+    assert (rank, list(pivots)) == (rank0, list(pivots0))
+    assert a == a_before and b == b_before
+    x_alone, _, _ = basic_solution([row[:] for row in a_before], b_before[:])
+    assert [v.hex() for v in x] == [v.hex() for v in x_alone]
+
+
 # -------------------------------------------------------------- eigenvalues
 
 def test_eigenvalues_diagonal():

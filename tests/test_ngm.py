@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ngmpn import linalg
 from ngmpn.expr import Constant, Mul, eval_expr, to_text
 from ngmpn.modelzoo import builtin, oracle_r0, zoo_entry, zoo_ids
 from ngmpn.ngm import DfeError, NgmError, compute_dfe, ngm_r0
@@ -270,6 +271,124 @@ def test_transfer_spectrum_checked_numerically():
         res = ngm_r0(builtin(mid))
         a5 = [f for f in res.findings if f.code == "A5"]
         assert a5 and a5[0].status == "satisfied", mid
+
+
+# ------------------------------------------ A5: M-matrix criterion, eigenvalues
+
+def a5_of(res):
+    (finding,) = [f for f in res.findings if f.code == "A5"]
+    return finding
+
+
+def eigen_verdict(V):
+    """A5 decided by the eigenvalues of -V alone."""
+    neg_v = linalg.eigenvalues([[-v for v in row] for row in V])
+    return "satisfied" if all(ev.real < 0.0 for ev in neg_v) else "violated"
+
+
+def recorded_eigen_calls(monkeypatch):
+    """The matrices linalg.eigenvalues is given from now on."""
+    seen = []
+    real = linalg.eigenvalues
+
+    def record(a):
+        seen.append([list(row) for row in a])
+        return real(a)
+
+    monkeypatch.setattr(linalg, "eigenvalues", record)
+    return seen
+
+
+# E and I exchange tokens at k*E and k*I; a negative k puts -k > 0 off the
+# diagonal of V, so V is not a Z-matrix. At k = -2, mu = 1, V = [[-1, 2],
+# [2, -1]] has V^-1 >= 0 and yet an eigenvalue -1 <= 0: V^-1 alone would
+# wrongly decide A5
+EXCHANGE_NET = """model exchange kind=vapn
+param beta = 0.5
+param k = -0.1
+param mu = 0.3
+place S init=100
+place E init=0 infected
+place I init=1 infected
+trans infect
+arc S -> infect weight="beta*S*I/N"
+arc infect -> E weight="beta*S*I/N"
+trans progress
+arc E -> progress weight="k*E"
+arc progress -> I weight="k*E"
+trans relapse
+arc I -> relapse weight="k*I"
+arc relapse -> E weight="k*I"
+trans leave
+arc E -> leave weight="mu*E"
+trans recover
+arc I -> recover weight="mu*I"
+"""
+
+# a source feeds E at b*E, faster than E empties: V is a Z-matrix, but
+# V[E][E] < 0 gives V^-1 a negative entry
+SPAWN_NET = """model spawn kind=vapn
+param beta = 0.5
+param b = 0.4
+param sigma = 0.2
+param gamma = 0.1
+place S init=100
+place E init=0 infected
+place I init=1 infected
+trans infect
+arc S -> infect weight="beta*S*I/N"
+arc infect -> E weight="beta*S*I/N"
+trans spawn
+arc spawn -> E weight="b*E"
+trans progress
+arc E -> progress weight="sigma*E"
+arc progress -> I weight="sigma*E"
+trans recover
+arc I -> recover weight="gamma*I"
+"""
+
+
+@pytest.mark.parametrize("k,mu,verdict", [(-0.1, 0.3, "satisfied"), (-2.0, 1.0, "violated")])
+def test_a5_without_a_z_matrix_is_decided_by_the_eigenvalues(k, mu, verdict, monkeypatch):
+    seen = recorded_eigen_calls(monkeypatch)
+    res = ngm_r0(parse_model(EXCHANGE_NET), params={"k": k, "mu": mu})
+    assert res.V[0][1] > 0.0 and res.V[1][0] > 0.0   # not a Z-matrix
+    if verdict == "violated":
+        assert min(v for row in res.Vinv for v in row) >= 0.0
+    assert [[-v for v in row] for row in res.V] in seen
+    assert a5_of(res).status == eigen_verdict(res.V) == verdict
+    # numpy agrees
+    assert (max(np.linalg.eigvals(-np.array(res.V)).real) < 0.0) == (verdict == "satisfied")
+
+
+def test_a5_with_a_negative_inverse_entry_lists_the_eigenvalues(monkeypatch):
+    seen = recorded_eigen_calls(monkeypatch)
+    res = ngm_r0(parse_model(SPAWN_NET))
+    assert res.V[0][1] <= 0.0 and res.V[1][0] <= 0.0   # a Z-matrix
+    assert min(v for row in res.Vinv for v in row) < 0.0
+    neg_v = [[-v for v in row] for row in res.V]
+    assert neg_v in seen
+    finding = a5_of(res)
+    assert finding.status == "violated"
+    for ev in linalg.eigenvalues(neg_v):
+        assert f"{ev.real:.6g}{ev.imag:+.6g}j" in finding.detail
+
+
+def test_a5_on_a_zoo_model_needs_no_eigen_solve_of_v(monkeypatch):
+    seen = recorded_eigen_calls(monkeypatch)
+    res = ngm_r0(builtin("covid"))
+    assert a5_of(res).status == "satisfied"
+    assert seen == [[list(row) for row in res.K]]
+
+
+@pytest.mark.parametrize("mid", zoo_ids())
+def test_a5_matches_the_eigenvalues_on_manifest_ranges(mid):
+    rng = random.Random(f"a5/{mid}")
+    entry = zoo_entry(mid)
+    for _ in range(40):
+        params = {name: rng.uniform(spec.lo, spec.hi) for name, spec in entry.params.items()}
+        res = ngm_r0(builtin(mid), params=params)
+        assert a5_of(res).status == eigen_verdict(res.V), params
 
 
 def test_vapn_spn_twins_agree_entrywise():
