@@ -109,7 +109,6 @@ _OPTION_RANGES = [
     ("dt", lambda v: v is None or 0 < v < math.inf, "positive and finite"),
     ("t_end", lambda v: v is not None and 0 <= v < math.inf,
      "given, finite and non-negative"),
-    ("chunk_t", lambda v: 0 < v < math.inf, "positive and finite"),
     ("max_t", lambda v: 0 < v < math.inf, "positive and finite"),
     ("conv_tol", lambda v: 0 <= v < math.inf, "finite and >= 0"),
     ("sample_dt", lambda v: v is None or v > 0, "positive"),
@@ -209,10 +208,8 @@ def cmd_sweep(args) -> int:
     m = _load(args)
     _check_options(args)
     grid = _parse_grid(args.grid)
-    config = SweepConfig(dt=args.dt, chunk_t=args.chunk_t,
-                         conv_tol=args.conv_tol, max_t=args.max_t,
-                         susceptible=args.susceptible,
-                         overrides=_params(args))
+    config = SweepConfig(dt=args.dt, conv_tol=args.conv_tol, max_t=args.max_t,
+                         susceptible=args.susceptible, overrides=_params(args))
     report = sweep(m, grid, config)
 
     if args.output:
@@ -276,7 +273,6 @@ def _parser():
     p.add_argument("--grid", action="append", metavar="NAME=lo:hi:count",
                    help="inclusive linear grid for one parameter (repeatable)")
     p.add_argument("--dt", type=float, default=0.05)
-    p.add_argument("--chunk-t", type=float, default=400.0, dest="chunk_t")
     p.add_argument("--conv-tol", type=float, default=1e-6, dest="conv_tol")
     p.add_argument("--max-t", type=float, default=3e5, dest="max_t")
     p.add_argument("--susceptible", default="S")

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import NgmpnError
 from .ngm import ngm_r0
 from .petri import PetriModel
-from .sim import Trajectory, run_vapn
+from .sim import Trajectory, _marking, run_vapn
 
 
 class EstimateError(NgmpnError):
@@ -124,10 +123,14 @@ def rrmse(rows) -> float:
     return math.sqrt(sum(sq) / len(sq))
 
 
+# the shortest chunk of a converged run; a point whose slowest transfer time
+# scale, 1/min Re eig(V) at the DFE, is longer runs chunks of that length
+CHUNK_T = 400.0
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     dt: float = 0.05
-    chunk_t: float = 400.0          # run in chunks, stop when S flattens
     conv_tol: float = 1e-6          # plateau when |dS per chunk| <= tol*n
     max_t: float = 3e5
     susceptible: tuple | str = "S"
@@ -180,22 +183,31 @@ def _start(m: PetriModel, config: SweepConfig) -> tuple:
 def converged_run(m: PetriModel, params: dict, config: SweepConfig) -> Trajectory:
     """Chunked VAPN run until the susceptible total flattens.
 
-    Returns a trajectory whose first sample is the true start (so S0 is
-    preserved) and whose remaining samples are the final chunk, dense enough
-    for the estimator's plateau precondition.
+    Each chunk lasts max(CHUNK_T, 1/min Re eig(V)), V being the transfer
+    matrix at the DFE: a chunk shorter than the slowest transfer time scale
+    can pass the plateau test while the outbreak is still igniting. A point
+    whose transfer flows do not decay (finding A5 violated) raises
+    EstimateError. Returns a trajectory whose first sample is the true start
+    (so S0 is preserved) and whose remaining samples are the final chunk,
+    dense enough for the estimator's plateau precondition.
     """
+    rate = min(ev.real for ev in linalg.eigenvalues(ngm_r0(m, params=params).V))
+    if not (rate > 0.0 and 1.0 / rate < math.inf):
+        raise EstimateError(f"the transfer flows do not decay at the DFE on a finite "
+                            f"time scale (finding A5): min Re eig(V) = {rate:.6g}")
+    chunk = max(CHUNK_T, 1.0 / rate)
     marking = _start(m, config)
     n = float(sum(marking))
     idx = [m.place_index(p) for p in _names(config.susceptible)]
     inf_idx = [m.place_index(p) for p in m.infected_places()]
 
-    steps_per_chunk = max(1, int(round(config.chunk_t / config.dt)))
+    steps_per_chunk = max(1, int(round(chunk / config.dt)))
     sample_every = max(1, steps_per_chunk // 50)
     start = marking
     t = 0.0
     last = None
     while t < config.max_t * (1 - 1e-12):
-        last = run_vapn(m, t_end=t + config.chunk_t, dt=config.dt,
+        last = run_vapn(m, t_end=t + chunk, dt=config.dt,
                         params=params, marking0=marking, t0=t,
                         sample_every=sample_every)
         new = last.final()
@@ -205,7 +217,7 @@ def converged_run(m: PetriModel, params: dict, config: SweepConfig) -> Trajector
         di = sum(new[j] for j in inf_idx) - sum(marking[j] for j in inf_idx)
         marking = new
         t = last.times[-1]
-        if ds <= config.conv_tol * n and di <= 1e-9 * n:
+        if ds <= config.conv_tol * n and di <= 0.0:
             break
     if last is None:
         raise EstimateError("max_t too small for a single chunk")
@@ -219,7 +231,7 @@ def converged_run(m: PetriModel, params: dict, config: SweepConfig) -> Trajector
 
 def _check_inputs(m: PetriModel, config: SweepConfig, points):
     """Raise EstimateError for a config or grid point no point could run."""
-    for name in ("dt", "chunk_t", "max_t"):
+    for name in ("dt", "max_t"):
         if not 0 < getattr(config, name) < math.inf:
             raise EstimateError(f"{name} must be positive and finite")
     if not 0 <= config.conv_tol < math.inf:
@@ -227,15 +239,7 @@ def _check_inputs(m: PetriModel, config: SweepConfig, points):
     for name in _names(config.susceptible):
         if not m.is_place(name):
             raise EstimateError(f"susceptible place {name!r} is not in model {m.name}")
-    marking = _start(m, config)
-    if len(marking) != len(m.places):
-        raise EstimateError(f"marking0 has {len(marking)} entries for the "
-                            f"{len(m.places)} places of model {m.name}")
-    for place, v in zip(m.places, marking):
-        if not (isinstance(v, numbers.Real) and 0 <= v < math.inf):
-            raise EstimateError(f"marking0 of place {place.name!r} is not a finite, "
-                                f"non-negative number: {v!r}")
-    if not sum(marking) > 0:
+    if not sum(_marking(m, _start(m, config), EstimateError)) > 0:
         raise EstimateError("marking0 sums to zero: there is no population")
     for point in points:
         m.merged_params({**config.overrides, **point}, EstimateError)
@@ -249,8 +253,8 @@ def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> Sweep
     its starting marking included, are checked before any point runs and
     raise EstimateError; a package error at a point is recorded in its row
     and excluded from the aggregate errors, and any other exception
-    propagates. A point where chunk_t is shorter than 1/min Re eig(V), the
-    slowest transfer time scale at the DFE, is such an error.
+    propagates. A point whose transfer flows do not decay at the DFE
+    (converged_run) is such an error.
     """
     if not grid:
         raise EstimateError("empty parameter grid")
@@ -266,17 +270,7 @@ def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> Sweep
         params = dict(config.overrides)
         params.update(point)
         try:
-            alg = ngm_r0(m, params=params)
-            # converged_run's plateau test compares the ends of one chunk; a
-            # chunk shorter than the slowest transfer time scale can pass it
-            # while the outbreak is still igniting
-            rate = min(ev.real for ev in linalg.eigenvalues(alg.V))
-            if config.chunk_t * rate < 1.0:
-                raise EstimateError(
-                    f"chunk_t {config.chunk_t:g} is shorter than the slowest transfer "
-                    f"time scale at the DFE: chunk_t * min Re eig(V) = "
-                    f"{config.chunk_t * rate:.6g} < 1")
-            r0_alg = alg.r0
+            r0_alg = ngm_r0(m, params=params).r0
             traj = converged_run(m, params, config)
             est = attack_rate_r0(traj, config.susceptible, n,
                                  conv_tol=config.conv_tol)

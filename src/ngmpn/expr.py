@@ -334,8 +334,8 @@ def to_text(e: Expr) -> str:
                 parts.append("+ " + _wrap(t, _prec(t) <= 1.0))
         return " ".join(parts)
     if isinstance(e, Mul):
-        # likewise a later factor that is a product
-        return "*".join(_wrap(f, _prec(f) < 2.0 or (i > 0 and isinstance(f, Mul)))
+        # likewise a later factor that is a product or a quotient
+        return "*".join(_wrap(f, _prec(f) < 2.0 or (i > 0 and isinstance(f, (Mul, Div))))
                         for i, f in enumerate(e.factors))
     if isinstance(e, Div):
         return (_wrap(e.num, _prec(e.num) < 2.0) + "/"

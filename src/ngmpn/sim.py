@@ -100,11 +100,17 @@ def _check_samples(count: float):
                        f"{MAX_SAMPLES}; sample less often")
 
 
-def _marking(m: PetriModel, marking) -> tuple:
-    """The marking as a tuple, one value per place of the model."""
+def _marking(m: PetriModel, marking, error=SimError) -> tuple:
+    """The marking as a tuple, one value per place of the model, refusing
+    with `error` any entry that is not a finite, non-negative number."""
     marking = tuple(marking)
     if len(marking) != len(m.places):
-        raise SimError("marking length does not match the model")
+        raise error(f"marking length does not match the model: {len(marking)} "
+                    f"entries for the {len(m.places)} places of model {m.name}")
+    for place, v in zip(m.places, marking):
+        if not (isinstance(v, numbers.Real) and 0 <= v < math.inf):
+            raise error(f"marking of place {place.name!r} is not a finite, "
+                        f"non-negative number: {v!r}")
     return marking
 
 
@@ -349,11 +355,9 @@ def _counts(m: PetriModel, marking) -> tuple:
     finite, non-negative whole number."""
     marking = _marking(m, marking)
     for place, v in zip(m.places, marking):
-        whole = isinstance(v, numbers.Integral) or (
-            isinstance(v, numbers.Real) and math.isfinite(v) and v == math.floor(v))
-        if not whole or v < 0:
-            raise SimError(f"initial marking of place {place.name!r} is not a "
-                           f"non-negative whole number: {v!r}")
+        if not (isinstance(v, numbers.Integral) or v == math.floor(v)):
+            raise SimError(f"marking of place {place.name!r} is not a whole "
+                           f"number: {v!r}")
     return tuple(map(int, marking))
 
 
@@ -398,8 +402,8 @@ def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
 def run_spn_replicates(m: PetriModel, t_end: float, seed: int | None = None,
                        replicates: int = 1, params=None, sample_dt: float = 1.0):
     """Independent replicate runs with generators spawned from one seed."""
-    if replicates < 1:
-        raise SimError("replicates must be >= 1")
+    if not isinstance(replicates, numbers.Integral) or replicates < 1:
+        raise SimError(f"replicates must be an integer >= 1, got {replicates!r}")
     seed = _seed(seed)
     out = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):

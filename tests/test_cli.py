@@ -253,10 +253,11 @@ def test_sweep_has_no_jobs_option(capsys):
 
 
 def test_sweep_with_every_point_failed_exits_1(capsys):
-    # a horizon far too short for any point to plateau
+    # a horizon far too short for any point to plateau: the one chunk,
+    # 1/gamma = 1000 long, ends while S still falls
     code, out, err = run(capsys, "sweep", "--builtin", "sirs",
-                         "--grid", "beta=0.3:0.4:2", "-p", "delta=0",
-                         "--chunk-t", "10", "--max-t", "10", "--conv-tol", "1e-12")
+                         "--grid", "beta=0.003:0.004:2", "-p", "delta=0",
+                         "-p", "gamma=0.001", "--max-t", "10", "--conv-tol", "1e-12")
     assert code == 1
     assert len(out.splitlines()) == 3
     summary, message = err.splitlines()
@@ -407,8 +408,6 @@ ERROR_CASES = {
                        "--seed", "1", "--sample-dt", "nan"], 2),
     "replicates_zero": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
                          "--seed", "1", "--replicates", "0"], 2),
-    "chunk_t_zero_sweep": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
-                            "--chunk-t", "0"], 2),
     "max_t_infinite_sweep": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
                               "--max-t", "inf"], 2),
     "conv_tol_nan_sweep": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",

@@ -1,6 +1,5 @@
 import io
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -209,22 +208,23 @@ def test_sweep_single_point_rrmse_is_rel_err():
 
 
 def test_short_chunks_do_not_stop_during_ignition():
-    # S moves less than conv_tol*n per chunk while the seed is still tiny;
-    # the infected-growth guard keeps the run going to the true final size
+    # near R0 = 1 in a population of 1e12, S moves less than conv_tol*n per
+    # chunk while the seed grows by about 0.5 a chunk; the infected-growth
+    # guard keeps the run going to the true final size
     m = builtin("sirs")
-    cfg = SweepConfig(overrides={"delta": 0.0}, marking0=(999999.0, 1.0, 0.0),
-                      chunk_t=2.0)
-    traj = converged_run(m, {"beta": 0.3, "gamma": 0.1, "delta": 0.0}, cfg)
-    est = attack_rate_r0(traj, "S", 1e6)
-    assert est.r0_hat == pytest.approx(3.0, rel=2e-3)
+    cfg = SweepConfig(overrides={"delta": 0.0}, marking0=(1e12 - 1, 1.0, 0.0))
+    traj = converged_run(m, {"beta": 0.101, "gamma": 0.1, "delta": 0.0}, cfg)
+    est = attack_rate_r0(traj, "S", 1e12)
+    assert est.r0_hat == pytest.approx(1.01, rel=1e-5)
 
 
 def test_sweep_records_per_point_failures():
     m = builtin("sirs")
-    # a horizon too short to converge: failure is recorded, not raised
+    # a horizon far shorter than the outbreak: the one chunk, 1/gamma = 1000
+    # long, ends while S still falls; failure is recorded, not raised
     cfg = SweepConfig(overrides={"delta": 0.0}, marking0=(9999.0, 1.0, 0.0),
-                      chunk_t=10.0, max_t=10.0)
-    report = sweep(m, {"beta": [0.3]}, cfg)
+                      max_t=10.0)
+    report = sweep(m, {"beta": [0.003], "gamma": [0.001]}, cfg)
     assert report.failures == 1
     assert report.rows[0].error.startswith("EstimateError: susceptible series not converged")
     assert report.rows[0].r0_hat is None
@@ -292,7 +292,6 @@ def test_sweep_rejects_empty_grid():
 @pytest.mark.parametrize("config,grid", [
     (SweepConfig(max_t=math.inf), {"beta": [0.3]}),
     (SweepConfig(dt=0.0), {"beta": [0.3]}),
-    (SweepConfig(chunk_t=math.nan), {"beta": [0.3]}),
     (SweepConfig(conv_tol=-1.0), {"beta": [0.3]}),
     (SweepConfig(susceptible=("S", "Q")), {"beta": [0.3]}),
     (SweepConfig(overrides={"zeta": 1.0}), {"beta": [0.3]}),
@@ -303,7 +302,7 @@ def test_sweep_rejects_empty_grid():
     (SweepConfig(marking0=(999.0, -1.0, 0.0)), {"beta": [0.3]}),
     (SweepConfig(marking0=(999.0, 1.0)), {"beta": [0.3]}),
     (SweepConfig(marking0=(0.0, 0.0, 0.0)), {"beta": [0.3]}),
-], ids=["max_t_inf", "dt_zero", "chunk_t_nan", "conv_tol_negative",
+], ids=["max_t_inf", "dt_zero", "conv_tol_negative",
         "unknown_susceptible", "unknown_override", "grid_inf", "grid_not_a_number",
         "marking0_nan", "marking0_inf", "marking0_negative", "marking0_short",
         "marking0_empty"])
@@ -313,16 +312,81 @@ def test_sweep_checks_inputs_before_any_point(config, grid, monkeypatch):
         sweep(builtin("sirs"), grid, config)
 
 
-def test_sweep_refuses_a_chunk_shorter_than_the_slowest_transfer():
-    # over 1e-3 time units neither S nor I moves enough to fail the plateau
-    # test, so the run would stop before the outbreak; 1/gamma is 10 here
-    m = builtin("sirs")
-    cfg = SweepConfig(chunk_t=1e-3, overrides={"delta": 0.0})
-    report = sweep(m, {"beta": [0.3]}, cfg)
-    assert report.failures == 1
-    assert "chunk_t 0.001 is shorter" in report.rows[0].error
-    ok = sweep(m, {"beta": [0.3]}, replace(cfg, chunk_t=10.0))
-    assert ok.failures == 0 and ok.rows[0].rel_err <= 0.01
+def test_sweep_runs_chunks_as_long_as_the_slowest_transfer(monkeypatch):
+    # 1/gamma = 1000 is longer than CHUNK_T, so each chunk lasts 1000
+    chunks = []
+
+    def run(*args, **kwargs):
+        chunks.append(kwargs["t_end"] - kwargs["t0"])
+        return sim.run_vapn(*args, **kwargs)
+
+    monkeypatch.setattr("ngmpn.estimate.run_vapn", run)
+    cfg = SweepConfig(overrides={"delta": 0.0}, marking0=(999999.0, 1.0, 0.0))
+    report = sweep(builtin("sirs"), {"beta": [0.003], "gamma": [0.001]}, cfg)
+    assert report.failures == 0 and report.rows[0].rel_err <= 1e-4
+    assert chunks and set(chunks) == {1000.0}
+
+
+GROWING = """\
+model growing kind=vapn
+param beta=0.3
+param gamma=0.1
+param g=0.2
+place S init=9999
+place I init=1 infected
+place R init=0
+trans infect
+trans recover
+trans breed
+arc S -> infect weight="beta*S*I/N"
+arc infect -> I weight="beta*S*I/N"
+arc I -> recover weight="gamma*I"
+arc recover -> R weight="gamma*I"
+arc breed -> I weight="g*I"
+"""
+
+
+def test_sweep_refuses_a_point_whose_transfer_flows_do_not_decay():
+    # the source into I outruns its removal (g > gamma): V = gamma - g < 0
+    m = parse_model(GROWING)
+    report = sweep(m, {"g": [0.2, 0.3]})
+    assert report.failures == 2
+    assert report.rows[0].error == (
+        "EstimateError: the transfer flows do not decay at the DFE on a finite "
+        "time scale (finding A5): min Re eig(V) = -0.1")
+    with pytest.raises(EstimateError, match="finding A5"):
+        converged_run(m, {"g": 0.2}, SweepConfig())
+
+
+# V = [[eps, 1], [-1, eps]], whose eigenvalues eps +- i decay at the rate eps
+ROTATING = """\
+model rotating kind=vapn
+param beta=0.3
+param eps=1e-320
+place S init=999
+place A init=1 infected
+place B init=0 infected
+place R init=0
+trans infect
+trans spawn
+trans leave
+trans clear
+arc S -> infect weight="beta*S*A/N"
+arc infect -> A weight="beta*S*A/N"
+arc spawn -> B weight="A"
+arc A -> leave weight="B + eps*A"
+arc leave -> R weight="B + eps*A"
+arc B -> clear weight="eps*B"
+arc clear -> R weight="eps*B"
+"""
+
+
+def test_sweep_refuses_a_transfer_time_scale_that_is_not_finite():
+    # 1/eps overflows to inf: the row records the cause, not an OverflowError
+    report = sweep(parse_model(ROTATING), {"eps": [1e-320, 1e-3]})
+    bad, good = report.rows
+    assert "do not decay at the DFE on a finite time scale" in bad.error
+    assert good.error is None
 
 
 def test_sweep_lets_a_programming_error_propagate(monkeypatch):

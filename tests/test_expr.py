@@ -91,11 +91,15 @@ def test_print_parse_fixpoint_generated(e):
 
 
 # 0 + 0/(c + (2 - 2)) with c = 2**-52: printed without the inner brackets it
-# reparsed as (c + 2) - 2, which rounds to 0, and the division raised
+# reparsed as (c + 2) - 2, which rounds to 0, and the division raised;
+# 1e200*(1e200/1e200) printed without them reparsed as (1e200*1e200)/1e200,
+# which overflows to inf
 @given(exprs(), bindings())
 @example(Add((Constant(0.0), Div(Constant(0.0), Add((Constant(2.220446049250313e-16),
                                                     Add((Constant(2.0),
                                                          Neg(Constant(2.0))))))))),
+         {n: 1.0 for n in NAMES})
+@example(Mul((Constant(1e200), Div(Constant(1e200), Constant(1e200)))),
          {n: 1.0 for n in NAMES})
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 def test_reparse_preserves_value(e, b):
@@ -253,7 +257,7 @@ def test_diff_matches_central_difference(e, b, wrt):
     ("2*beta*S*I/N - beta*S*I/N", "beta*S*I/N"),
     ("x - x", "0"),
     ("0*x + y*1", "y"),
-    ("x/y + x/y", "2*x/y"),
+    ("x/y + x/y", "2*(x/y)"),
     ("3*a/b - a/b - 2*a/b", "0"),
     ("x^1", "x"),
     ("x^0", "1"),

@@ -137,7 +137,7 @@ def test_scripts_sirs():
 def test_scripts_spn_twin_keeps_both_infection_terms():
     res = ngm_r0(builtin("sirs_spn"))
     assert [to_text(e) for e in res.script_f] == \
-        ["2*beta*S*I/N - beta*S*I/N"]
+        ["2*(beta*S*I/N) - beta*S*I/N"]
 
 
 def test_scripts_seir():

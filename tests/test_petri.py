@@ -149,7 +149,7 @@ def test_net_flow_display():
 def test_net_flow_spn_uses_mult_times_rate():
     # terms appear in arc declaration order: I->infect, infect->I, I->recover
     m = parse_model(SIRS_SPN)
-    assert to_text(net_flow(m, "I")) == "-beta*S*I/N + 2*beta*S*I/N - gamma*I"
+    assert to_text(net_flow(m, "I")) == "-beta*S*I/N + 2*(beta*S*I/N) - gamma*I"
 
 
 def test_flows_sum_to_zero_in_conservative_net():

@@ -292,6 +292,15 @@ def test_spn_marking_that_is_not_a_token_count_rejected(value):
         run_spn(builtin("sirs_spn"), 1.0, seed=1, marking0=(999, value, 0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "7", None])
+def test_vapn_marking_that_is_not_a_finite_non_negative_number_rejected(value):
+    m = builtin("sirs")
+    with pytest.raises(SimError, match="place 'I'"):
+        run_vapn(m, 1.0, dt=0.5, marking0=(999.0, value, 0.0))
+    with pytest.raises(SimError, match="place 'I'"):
+        step_vapn(m, (999.0, value, 0.0), 0.5)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
 def test_spn_seed_that_is_not_a_non_negative_integer_rejected(seed):
     m = builtin("sirs_spn")
@@ -531,6 +540,12 @@ def test_replicates_reproducible_and_tagged():
 def test_replicates_validates_count():
     with pytest.raises(SimError):
         run_spn_replicates(builtin("sirs_spn"), 1.0, seed=1, replicates=0)
+
+
+@pytest.mark.parametrize("count", [2.5, "2"])
+def test_replicates_that_is_not_an_integer_rejected(count):
+    with pytest.raises(SimError, match="replicates must be an integer"):
+        run_spn_replicates(builtin("sirs_spn"), 1.0, seed=1, replicates=count)
 
 
 def test_spn_on_vapn_model_rejected():
