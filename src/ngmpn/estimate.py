@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import NgmpnError
-from .ngm import ngm_r0
+from .ngm import NgmResult, ngm_r0
 from .petri import PetriModel
-from .sim import Trajectory, _marking, run_vapn
+from .sim import MAX_STEPS, Trajectory, _marking, run_vapn
 
 
 class EstimateError(NgmpnError):
@@ -180,36 +180,44 @@ def _start(m: PetriModel, config: SweepConfig) -> tuple:
         else m.initial_marking()
 
 
-def converged_run(m: PetriModel, params: dict, config: SweepConfig) -> Trajectory:
+def converged_run(m: PetriModel, res: NgmResult, config: SweepConfig) -> Trajectory:
     """Chunked VAPN run until the susceptible total flattens.
 
-    Each chunk lasts max(CHUNK_T, 1/min Re eig(V)), V being the transfer
-    matrix at the DFE: a chunk shorter than the slowest transfer time scale
-    can pass the plateau test while the outbreak is still igniting. A point
-    whose transfer flows do not decay (finding A5 violated) raises
-    EstimateError. Returns a trajectory whose first sample is the true start
-    (so S0 is preserved) and whose remaining samples are the final chunk,
-    dense enough for the estimator's plateau precondition.
+    res is the NgmResult of ngm_r0 for this model at this point: the run
+    uses the parameter values it solved at (res.dfe.params), and each chunk
+    lasts max(CHUNK_T, 1/min Re eig(res.V)), V being the transfer matrix at
+    the DFE: a chunk shorter than the slowest transfer time scale can pass
+    the plateau test while the outbreak is still igniting. A point whose
+    transfer flows do not decay (finding A5 violated) raises EstimateError.
+    Returns a trajectory whose first sample is the true start (so S0 is
+    preserved) and whose remaining samples are the final chunk, dense enough
+    for the estimator's plateau precondition; its clipping_events counts the
+    clips of every chunk.
     """
-    rate = min(ev.real for ev in linalg.eigenvalues(ngm_r0(m, params=params).V))
+    rate = min(ev.real for ev in linalg.eigenvalues(res.V))
     if not (rate > 0.0 and 1.0 / rate < math.inf):
         raise EstimateError(f"the transfer flows do not decay at the DFE on a finite "
                             f"time scale (finding A5): min Re eig(V) = {rate:.6g}")
     chunk = max(CHUNK_T, 1.0 / rate)
+    params = dict(zip(m.params, res.dfe.params))
     marking = _start(m, config)
     n = float(sum(marking))
     idx = [m.place_index(p) for p in _names(config.susceptible)]
     inf_idx = [m.place_index(p) for p in m.infected_places()]
 
-    steps_per_chunk = max(1, int(round(chunk / config.dt)))
+    # over a tiny dt the step count can overflow to inf; clamped, a chunk of
+    # more than MAX_STEPS steps reaches run_vapn, which refuses it as SimError
+    steps_per_chunk = max(1, int(round(min(chunk / config.dt, MAX_STEPS))))
     sample_every = max(1, steps_per_chunk // 50)
     start = marking
     t = 0.0
+    clips = 0
     last = None
     while t < config.max_t * (1 - 1e-12):
         last = run_vapn(m, t_end=t + chunk, dt=config.dt,
                         params=params, marking0=marking, t0=t,
                         sample_every=sample_every)
+        clips += last.clipping_events
         new = last.final()
         ds = abs(sum(new[j] for j in idx) - sum(marking[j] for j in idx))
         # a growing infected pool means the outbreak is still igniting, even
@@ -225,12 +233,13 @@ def converged_run(m: PetriModel, params: dict, config: SweepConfig) -> Trajector
         return last
     return Trajectory(last.places, (0.0,) + last.times,
                       (start,) + last.markings,
-                      clipping_events=last.clipping_events,
+                      clipping_events=clips,
                       metadata=dict(last.metadata))
 
 
-def _check_inputs(m: PetriModel, config: SweepConfig, points):
-    """Raise EstimateError for a config or grid point no point could run."""
+def _check_inputs(m: PetriModel, config: SweepConfig, points) -> list:
+    """Raise EstimateError for a config or grid point no point could run;
+    return each point's parameters merged over the overrides and the model's."""
     for name in ("dt", "max_t"):
         if not 0 < getattr(config, name) < math.inf:
             raise EstimateError(f"{name} must be positive and finite")
@@ -241,8 +250,8 @@ def _check_inputs(m: PetriModel, config: SweepConfig, points):
             raise EstimateError(f"susceptible place {name!r} is not in model {m.name}")
     if not sum(_marking(m, _start(m, config), EstimateError)) > 0:
         raise EstimateError("marking0 sums to zero: there is no population")
-    for point in points:
-        m.merged_params({**config.overrides, **point}, EstimateError)
+    return [m.merged_params({**config.overrides, **point}, EstimateError)
+            for point in points]
 
 
 def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> SweepReport:
@@ -254,7 +263,10 @@ def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> Sweep
     raise EstimateError; a package error at a point is recorded in its row
     and excluded from the aggregate errors, and any other exception
     propagates. A point whose transfer flows do not decay at the DFE
-    (converged_run) is such an error.
+    (converged_run) is such an error. Each point's parameters, merged once
+    over the overrides and the model's own, go through ngm_r0 once; its
+    result gives the row's r0_alg and is handed to converged_run. A row
+    keeps the raw grid point as its params.
     """
     if not grid:
         raise EstimateError("empty parameter grid")
@@ -262,22 +274,20 @@ def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> Sweep
     names = tuple(grid.keys())
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(grid[k] for k in names))]
-    _check_inputs(m, config, points)
+    merged = _check_inputs(m, config, points)
     n = float(sum(_start(m, config)))
 
     rows = []
-    for point in points:
-        params = dict(config.overrides)
-        params.update(point)
+    for point, params in zip(points, merged):
         try:
-            r0_alg = ngm_r0(m, params=params).r0
-            traj = converged_run(m, params, config)
+            res = ngm_r0(m, params=params)
+            traj = converged_run(m, res, config)
             est = attack_rate_r0(traj, config.susceptible, n,
                                  conv_tol=config.conv_tol)
-            if r0_alg <= 0:
-                raise EstimateError(f"nonpositive algebraic R0: {r0_alg}")
-            rel = abs(est.r0_hat - r0_alg) / r0_alg
-            rows.append(SweepRow(point, r0_alg, est.r0_hat, rel))
+            if res.r0 <= 0:
+                raise EstimateError(f"nonpositive algebraic R0: {res.r0}")
+            rel = abs(est.r0_hat - res.r0) / res.r0
+            rows.append(SweepRow(point, res.r0, est.r0_hat, rel))
         except NgmpnError as exc:  # recorded, not fatal to the sweep
             rows.append(SweepRow(point, error=f"{type(exc).__name__}: {exc}"))
 

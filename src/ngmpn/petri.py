@@ -134,8 +134,9 @@ class PetriModel:
         return merged
 
     def bindings_at(self, marking, params=None) -> dict:
-        """Symbol bindings at a marking: places, params and the reserved N."""
-        b = dict(self.params if params is None else params)
+        """Symbol bindings at a marking: places, the model's params overridden
+        by `params` (as merged_params merges them) and the reserved N."""
+        b = self.merged_params(params)
         for p, v in zip(self.places, marking):
             b[p.name] = v
         b[RESERVED_TOTAL] = sum(marking)

@@ -2,10 +2,12 @@
 
 Deterministic nets advance all places synchronously: each step adds
 dt * (inflow - outflow) per place, computed from the arc weights at the
-current marking, and clips at zero (a clipped place scales its outflows just
-enough to stop at zero; the clip is counted on the trajectory). This is
-forward Euler whenever nothing clips. A run that would take more than
-MAX_STEPS steps raises SimError before it starts.
+current marking, and clips at zero: a place that would go negative is set to
+0.0 and the clip is counted on the trajectory, while the places it feeds
+keep their full inflows. A clipped step therefore creates tokens: an S -> I
+transfer of weight 2*S, stepped with dt=1 from (S, I) = (10, 0), gives
+(0, 20). This is forward Euler whenever nothing clips. A run that would take
+more than MAX_STEPS steps raises SimError before it starts.
 
 Stochastic nets fire one transition at a time (Gillespie's direct method):
 each enabled transition's rate is its propensity, waiting times are

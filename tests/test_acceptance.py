@@ -185,7 +185,7 @@ def test_criterion_7_attack_rate_estimator_recovers_known_r0():
     for r0 in (1.5, 2.5, 3.5, 5.0):
         params = {"beta": 0.1 * r0, "gamma": 0.1, "delta": 0.0}
         cfg = SweepConfig(dt=0.01, marking0=(999.0, 1.0, 0.0))
-        traj = converged_run(m, params, cfg)
+        traj = converged_run(m, ngm_r0(m, params=params), cfg)
         est = attack_rate_r0(traj, "S", 1000.0)
         assert abs(est.r0_hat - r0) / r0 <= 0.005, (r0, est.r0_hat)
         # the simulated final size lands on the root of the size relation

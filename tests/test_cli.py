@@ -266,6 +266,17 @@ def test_sweep_with_every_point_failed_exits_1(capsys):
     assert message.startswith("error: ")
 
 
+def test_sweep_with_a_chunk_of_more_than_max_steps_steps_exits_1(capsys):
+    # 400/1e-310 Euler steps overflows to inf: a row error, not a traceback
+    code, out, err = run(capsys, "sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
+                         "-p", "delta=0", "--dt", "1e-310")
+    assert code == 1
+    assert out.splitlines()[1] == "0.3,,,"
+    summary, message = err.splitlines()
+    assert json.loads(summary)["failures"] == 1
+    assert message == "error: every grid point failed"
+
+
 def test_sweep_requires_grid(capsys):
     code, _, err = run(capsys, "sweep", "--builtin", "sirs")
     assert code == 2 and "--grid" in err
@@ -436,6 +447,9 @@ ERROR_CASES = {
                         "-p", "delta=0"], 2),
     "grid_step_overflows": (["sweep", "--builtin", "sirs", "--grid", "beta=-1e308:1e308:3",
                              "-p", "delta=0"], 2),
+    "grid_without_equals": (["sweep", "--builtin", "sirs", "--grid", "beta"], 2),
+    "grid_bound_not_a_number": (["sweep", "--builtin", "sirs", "--grid", "beta=low:0.3:2",
+                                 "-p", "delta=0"], 2),
 }
 
 

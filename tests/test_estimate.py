@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngmpn import codegen, ngm, sim
+from ngmpn import codegen, estimate, ngm, sim
 from ngmpn.estimate import (EstimateError, SweepConfig, attack_rate_r0,
                             converged_run, rrmse, sweep)
 from ngmpn.modelzoo import builtin
@@ -161,7 +161,8 @@ def test_rrmse_validation():
 def test_converged_run_keeps_initial_sample():
     m = builtin("sirs")
     cfg = SweepConfig(overrides={"delta": 0.0}, marking0=(999999.0, 1.0, 0.0))
-    traj = converged_run(m, {"beta": 0.3, "gamma": 0.1, "delta": 0.0}, cfg)
+    params = {"beta": 0.3, "gamma": 0.1, "delta": 0.0}
+    traj = converged_run(m, ngm.ngm_r0(m, params=params), cfg)
     assert traj.times[0] == 0.0
     assert traj.markings[0] == (999999.0, 1.0, 0.0)
     est = attack_rate_r0(traj, "S", 1e6)
@@ -174,10 +175,20 @@ def test_estimate_insensitive_to_dt_refinement():
 
     def hat(dt):
         cfg = SweepConfig(dt=dt, marking0=(9999.0, 1.0, 0.0))
-        traj = converged_run(m, params, cfg)
+        traj = converged_run(m, ngm.ngm_r0(m, params=params), cfg)
         return attack_rate_r0(traj, "S", 1e4).r0_hat
 
     assert abs(hat(0.05) - hat(0.025)) / 2.0 < 1e-3
+
+
+def test_converged_run_counts_the_clips_of_every_chunk():
+    # at dt = 3 the first chunk's outbreak overshoots S below zero once; the
+    # returned samples are those of the last chunk, which does not clip
+    m = builtin("sirs")
+    res = ngm.ngm_r0(m, params={"beta": 1.5, "gamma": 0.1, "delta": 0.0})
+    traj = converged_run(m, res, SweepConfig(dt=3.0))
+    assert traj.times[1] > traj.times[0] == 0.0
+    assert traj.clipping_events == 1
 
 
 # ------------------------------------------------------------------- sweep
@@ -213,9 +224,38 @@ def test_short_chunks_do_not_stop_during_ignition():
     # guard keeps the run going to the true final size
     m = builtin("sirs")
     cfg = SweepConfig(overrides={"delta": 0.0}, marking0=(1e12 - 1, 1.0, 0.0))
-    traj = converged_run(m, {"beta": 0.101, "gamma": 0.1, "delta": 0.0}, cfg)
+    params = {"beta": 0.101, "gamma": 0.1, "delta": 0.0}
+    traj = converged_run(m, ngm.ngm_r0(m, params=params), cfg)
     est = attack_rate_r0(traj, "S", 1e12)
     assert est.r0_hat == pytest.approx(1.01, rel=1e-5)
+
+
+def test_sweep_runs_the_r0_pipeline_once_a_point(monkeypatch):
+    calls = []
+
+    def counted(m, params=None, constraints=None):
+        calls.append(params)
+        return ngm.ngm_r0(m, params=params, constraints=constraints)
+
+    monkeypatch.setattr(estimate, "ngm_r0", counted)
+    m = builtin("sirs")
+    cfg = SweepConfig(overrides={"delta": 0.0}, marking0=(9999.0, 1.0, 0.0))
+    report = sweep(m, {"beta": [0.3, 0.4], "gamma": [0.1]}, cfg)
+    assert report.failures == 0
+    # each point's parameters merged over the overrides and the model's
+    assert calls == [{"beta": 0.3, "gamma": 0.1, "delta": 0.0},
+                     {"beta": 0.4, "gamma": 0.1, "delta": 0.0}]
+    assert [row.params for row in report.rows] == [{"beta": 0.3, "gamma": 0.1},
+                                                   {"beta": 0.4, "gamma": 0.1}]
+
+
+def test_sweep_records_a_chunk_of_more_than_max_steps_steps():
+    # 400/1e-310 steps overflows to inf; run_vapn refuses the chunk
+    cfg = SweepConfig(dt=1e-310, overrides={"delta": 0.0})
+    report = sweep(builtin("sirs"), {"beta": [0.3]}, cfg)
+    assert report.failures == 1
+    assert report.rows[0].error == ("SimError: the run would record inf samples, "
+                                    "more than 10000000; sample less often")
 
 
 def test_sweep_records_per_point_failures():
@@ -355,7 +395,7 @@ def test_sweep_refuses_a_point_whose_transfer_flows_do_not_decay():
         "EstimateError: the transfer flows do not decay at the DFE on a finite "
         "time scale (finding A5): min Re eig(V) = -0.1")
     with pytest.raises(EstimateError, match="finding A5"):
-        converged_run(m, {"g": 0.2}, SweepConfig())
+        converged_run(m, ngm.ngm_r0(m, params={"g": 0.2}), SweepConfig())
 
 
 # V = [[eps, 1], [-1, eps]], whose eigenvalues eps +- i decay at the rate eps

@@ -97,6 +97,24 @@ def test_parse_spn():
      "line 4: init of place 'S'"),
     (lambda _: SIRS_SPN.replace("place S init=98000", "place S init=nan"),
      "line 4: init of place 'S'"),
+    (lambda t: t.replace("place S init=999999", "place S init=-5"),
+     "line 5: init of place 'S' must be at least 0"),
+    (lambda _: SIRS_SPN.replace("arc S -> infect mult=1", "arc S -> infect mult=0"),
+     "line 9: mult must be at least 1"),
+    (lambda t: t.replace("param beta=0.3", "model again kind=vapn"),
+     "line 2: duplicate model line"),
+    (lambda t: "param early=1\n" + t, "line 1: expected the model line first"),
+    (lambda t: t.replace("place S init=999999",
+                         'arc S -> infect weight="beta"\nplace S init=999999'),
+     "line 5: transitions and arcs must follow places"),
+    (lambda t: t.replace("place R init=0", "place R init=0 colour=red"),
+     "line 7: unknown attribute 'colour'"),
+    (lambda t: t.replace("param beta=0.3", "param beta=0.3 rho=1"),
+     "line 2: expected 'param NAME = REAL'"),
+    (lambda t: t.replace("trans recover", "trans recover class=removal"),
+     "line 9: class must be infection or transfer"),
+    (lambda _: "# a comment and nothing else\n", "missing model line"),
+    (lambda _: "model empty kind=vapn\nparam a=1\n", "model has no places"),
 ])
 def test_parse_errors(mangle, fragment):
     with pytest.raises(ModelError) as err:
@@ -135,6 +153,12 @@ def test_bindings_include_total():
     m = parse_model(SIRS)
     b = m.bindings_at((10.0, 5.0, 1.0))
     assert b["N"] == 16.0 and b["S"] == 10.0 and b["beta"] == 0.3
+
+
+def test_bindings_override_only_the_given_params():
+    m = parse_model(SIRS)
+    b = m.bindings_at((10.0, 5.0, 1.0), {"beta": 0.5})
+    assert eval_expr(net_flow(m, "I"), b) == 0.5 * 10.0 * 5.0 / 16.0 - 0.1 * 5.0
 
 
 # ----------------------------------------------------------------- net flow

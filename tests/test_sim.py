@@ -608,6 +608,18 @@ arc t -> lambda weight="_dt*_p*range"
     assert traj.final() == pytest.approx((10.0 * 0.875 ** 2, 10.0 - 10.0 * 0.875 ** 2))
 
 
+@pytest.mark.parametrize("run,match", [
+    (lambda: run_vapn(builtin("sirs"), 1.0, dt=0.5, t0=2.0), "not before t0"),
+    (lambda: run_spn(builtin("sirs_spn"), -1.0, seed=1), "t_end must be finite"),
+    (lambda: run_spn(builtin("sirs_spn"), 1.0, seed=1, sample_dt=0.0), "sample_dt"),
+    (lambda: run_spn(builtin("sirs_spn"), 1.0, seed=1, sample_dt=-1.0), "sample_dt"),
+], ids=["vapn_t_end_before_t0", "spn_t_end_negative", "spn_sample_dt_zero",
+        "spn_sample_dt_negative"])
+def test_run_refuses_a_span_or_sample_step_out_of_range(run, match):
+    with pytest.raises(SimError, match=match):
+        run()
+
+
 def test_dt_must_be_positive():
     with pytest.raises(SimError):
         run_vapn(builtin("sirs"), 1.0, dt=0.0)
