@@ -5,7 +5,9 @@ expressions at many points, so each turns a model's expressions into Python
 source once and compiles it. `emit` transcribes a tree in one walk (renaming
 its symbols, printing it and routing fractional powers through `_pow`) so
 that, given float inputs, the compiled code computes what `eval_expr`
-computes, bit for bit:
+computes, bit for bit (eval_expr applies float() to every symbol, and every
+generated function converts its markings to floats on entry and gets
+float parameter values):
 
 - constants print as float literals;
 - a sum starts from 0.0 and adds its terms left to right, as eval_expr's

@@ -263,10 +263,11 @@ def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> Sweep
     raise EstimateError; a package error at a point is recorded in its row
     and excluded from the aggregate errors, and any other exception
     propagates. A point whose transfer flows do not decay at the DFE
-    (converged_run) is such an error. Each point's parameters, merged once
-    over the overrides and the model's own, go through ngm_r0 once; its
-    result gives the row's r0_alg and is handed to converged_run. A row
-    keeps the raw grid point as its params.
+    (converged_run) is such an error, and so is a point whose run clipped a
+    place at zero, since a clipped step creates tokens. Each point's
+    parameters, merged once over the overrides and the model's own, go
+    through ngm_r0 once; its result gives the row's r0_alg and is handed to
+    converged_run. A row keeps the raw grid point as its params.
     """
     if not grid:
         raise EstimateError("empty parameter grid")
@@ -282,6 +283,10 @@ def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> Sweep
         try:
             res = ngm_r0(m, params=params)
             traj = converged_run(m, res, config)
+            if traj.clipping_events:
+                raise EstimateError(
+                    f"clipping at zero created tokens in {traj.clipping_events} "
+                    f"place-steps of the run; use a smaller dt (--dt)")
             est = attack_rate_r0(traj, config.susceptible, n,
                                  conv_tol=config.conv_tol)
             if res.r0 <= 0:

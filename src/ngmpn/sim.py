@@ -12,7 +12,11 @@ more than MAX_STEPS steps raises SimError before it starts.
 Stochastic nets fire one transition at a time (Gillespie's direct method):
 each enabled transition's rate is its propensity, waiting times are
 exponential, and the next event is chosen proportionally to propensity.
-Markings stay integers throughout. After an event only the propensities that
+Each event takes one pair of uniform draws, the first for the wait and the
+second for the choice. Markings are token counts: the loop holds them as
+floats, which count exactly up to 2**53, and every recorded marking holds
+Python ints. A run whose counts could pass 2**53 within MAX_EVENTS events
+raises SimError before it starts. After an event only the propensities that
 read a place the event changed (in its rate or in an input-arc guard), or
 the total N when it changed, are recomputed (the dependency graph of Gibson
 & Bruck); the others keep their values, so which event fires, and every
@@ -90,8 +94,9 @@ MAX_SAMPLES = 10_000_000
 # (the zoo's vapn models on one x86-64 core, sampled every 160th step) that
 # is 3 to 21 minutes of stepping
 MAX_STEPS = 1_000_000_000
-# the most events an spn run takes; at about 1.7 million events per second
-# that is about a minute of simulation
+# the most events an spn run takes; at about 2 million events per second
+# (sirs_spn on one x86-64 core, the best of 15 runs) that is about 50
+# seconds of simulation
 MAX_EVENTS = 100_000_000
 
 
@@ -260,7 +265,7 @@ def _build_spn(m: PetriModel):
         for a in m.outputs_of(t.name):
             change[a.target] = change.get(a.target, 0) + a.mult
         code = emit(t.rate, names)
-        guards = " and ".join(f"{names[a.source]} >= {a.mult}" for a in inputs)
+        guards = " and ".join(f"{names[a.source]} >= {float(a.mult)!r}" for a in inputs)
         rates.append(f"({code}) if ({guards}) else 0.0" if guards else f"({code})")
         depends.append(free_symbols(t.rate) | {a.source for a in inputs})
         deltas.append({p.name: change[p.name] for p in m.places if change.get(p.name)})
@@ -279,31 +284,32 @@ def _build_spn(m: PetriModel):
     for j, delta in enumerate(deltas):
         net = sum(delta.values())
         changed = set(delta) | ({RESERVED_TOTAL} if net else set())
-        body = [f"{names[name]} {'-' if dv < 0 else '+'}= {abs(dv)}"
+        body = [f"{names[name]} {'-' if dv < 0 else '+'}= {float(abs(dv))!r}"
                 for name, dv in (*delta.items(), (RESERVED_TOTAL, net)) if dv]
         body += ["_t = _tn"]
         body += update([k for k, deps in enumerate(depends) if deps & changed])
         if j < last:
-            acc = "_acc" if j else "0.0"
-            select.append(f"{'el' if j else ''}if _pick < (_acc := {acc} + _r{j}):")
+            acc = f"_acc + _r{j}" if j else f"_r{j}"
+            select.append(f"{'el' if j else ''}if _pick < (_acc := {acc}):")
         elif j:
             select.append("else:")
         select += ["    " * (last > 0) + line for line in body]
 
+    counts = f"({targets([f'int({x})' for x in place_vars])})"
     sep = "\n        "
     src = f"""
-def _run(_mk, _p, _draw, _tend, _sdt, _tapp, _mapp):
-    {marking} = _mk
+def _run(_mk, _p, _pairs, _tend, _sdt, _tapp, _mapp):
+    {marking} = map(float, _mk)
     ({params}) = _p
     {total} = {" + ".join(place_vars)}
     _t = 0.0
     _ns = _sdt
     {sep[:-4].join(update(range(len(rates))))}
-    while True:
-        _a0 = {" + ".join(["0.0"] + [f"_r{j}" for j in range(len(rates))])}
+    for _u, _v in _pairs:
+        _a0 = {" + ".join(f"_r{j}" for j in range(len(rates))) or "0.0"}
         if _a0 == 0.0:
             break
-        _tn = _t - _log(1.0 - _draw()) / _a0
+        _tn = _t - _log(1.0 - _u) / _a0
         if _tn >= _tend:
             break
         if not _tn > _t:  # a uniform of 0 waits 0; a wait below ulp(t) stalls
@@ -311,11 +317,11 @@ def _run(_mk, _p, _draw, _tend, _sdt, _tapp, _mapp):
                 raise _stalled(_t, _a0)
         while _ns <= _tn and _ns < _tend:
             _tapp(_ns)
-            _mapp({marking})
+            _mapp({counts})
             _ns += _sdt
-        _pick = _draw() * _a0
+        _pick = _v * _a0
         {sep.join(select)}
-    return {marking}, _ns
+    return {counts}, _ns
 """
     tnames = tuple(t.name for t in m.transitions)
     model_name = m.name     # the generated code must not keep the model alive
@@ -332,15 +338,17 @@ def _run(_mk, _p, _draw, _tend, _sdt, _tapp, _mapp):
 
 
 def _uniforms(rng):
-    """A function returning rng.random() draws one by one, taken from blocks:
-    a block of k PCG64 draws equals k scalar draws bit for bit. An event
-    takes two draws, so the draw after about 2 * MAX_EVENTS raises SimError."""
+    """rng.random() draws in consecutive pairs, one pair per event, taken
+    from blocks: a block of k PCG64 draws equals k scalar draws bit for bit.
+    The pair after the first MAX_EVENTS raises SimError, so no run fires
+    more than MAX_EVENTS events."""
     def blocks():
-        for _ in range(-(-2 * MAX_EVENTS // 1024)):
-            yield rng.random(1024).tolist()
+        for start in range(0, 2 * MAX_EVENTS, 1024):
+            yield rng.random(min(1024, 2 * MAX_EVENTS - start)).tolist()
         raise SimError(f"the run took more than {MAX_EVENTS} events; "
                        f"do its token counts explode before t_end?")
-    return itertools.chain.from_iterable(blocks()).__next__
+    draws = itertools.chain.from_iterable(blocks())
+    return zip(draws, draws)
 
 
 def _seed(seed) -> int:
@@ -363,6 +371,21 @@ def _counts(m: PetriModel, marking) -> tuple:
     return tuple(map(int, marking))
 
 
+def _check_counts(m: PetriModel, marking):
+    """Refuse a run whose token counts could pass 2**53, past which floats do
+    not count exactly. No count exceeds the total, which starts at
+    sum(marking) and gains at most the largest net output of one
+    transition, in each of at most MAX_EVENTS events."""
+    gain = max([0] + [sum(a.mult for a in m.outputs_of(t.name))
+                      - sum(a.mult for a in m.inputs_of(t.name)) for t in m.transitions])
+    start = sum(marking)
+    if start + MAX_EVENTS * gain > 2**53:
+        raise SimError(f"token counts could reach {start + MAX_EVENTS * gain}, more "
+                       f"than 2**53, past which floats do not count exactly: "
+                       f"{start} at the start plus up to {gain} in each of up to "
+                       f"{MAX_EVENTS} events")
+
+
 def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
             sample_dt: float = 1.0, marking0=None) -> Trajectory:
     """Event-by-event stochastic run to t_end.
@@ -383,6 +406,7 @@ def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
     seed = _seed(seed)
     rng = np.random.default_rng(seed)
     marking = _counts(m, marking0 if marking0 is not None else m.initial_marking())
+    _check_counts(m, marking)
 
     times = [0.0]
     markings = [marking]

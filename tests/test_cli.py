@@ -370,6 +370,7 @@ NETS = {
     "init_nan_vapn": sir_net(s_init="nan"),
     "init_inf_spn": sir_net("spn", s_init="inf"),
     "init_nan_spn": sir_net("spn", s_init="nan"),
+    "count_bound_spn": sir_net("spn", s_init=2**53),
 }
 
 # (argv with {dir} and {net} placeholders, exit code); each must end in one
@@ -399,6 +400,9 @@ ERROR_CASES = {
     "too_many_samples_spn": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
                               "--sample-dt", "1e-300", "--seed", "1"], 1),
     # 1001 samples, but refused before any of its 1e12 Euler steps
+    # refused before any event: the counts could pass 2**53, past which
+    # floats do not count exactly
+    "count_bound_spn": (["simulate", "{net}", "--t-end", "1", "--seed", "1"], 1),
     "too_many_steps_vapn": (["simulate", "--builtin", "sirs", "--t-end", "1",
                              "--dt", "1e-12", "--sample-every", "1000000000"], 1),
     # a step that is not positive and finite is the command line's fault
@@ -466,11 +470,14 @@ def test_bad_input_ends_in_one_error_line(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_sweep_summary_has_no_infinity(capsys):
-    # dt so coarse that the susceptibles run out: r0_hat is infinite
-    code, _, err = run(capsys, "sweep", "--builtin", "nonlinear",
-                       "--grid", "beta=50:50:1", "--dt", "30", "-p", "mu=0")
+def test_sweep_summary_has_no_infinity(capsys, tmp_path):
+    # the first Euler step empties S exactly, without a clip
+    # (dt*beta*S*I/N = 0.5*4*0.5*0.5/1 = S): r0_hat is infinite
+    net = tmp_path / "net.pnet"
+    net.write_text(sir_net(s_init=0.5, i_init=0.5))
+    code, out, err = run(capsys, "sweep", str(net), "--grid", "beta=4:4:1", "--dt", "0.5")
     assert code == 0
+    assert out.splitlines()[1].split(",")[2] == "inf"
 
     def reject(name):
         raise ValueError(f"not JSON: {name}")
@@ -478,3 +485,14 @@ def test_sweep_summary_has_no_infinity(capsys):
     summary = json.loads(err, parse_constant=reject)
     assert summary["rrmse"] is None and summary["max_rel_err"] is None
     assert summary["failures"] == 0
+
+
+def test_sweep_point_whose_run_clips_is_a_failure(capsys):
+    # dt so coarse that the susceptibles overshoot zero and are clipped
+    code, out, err = run(capsys, "sweep", "--builtin", "nonlinear",
+                         "--grid", "beta=50:50:1", "--dt", "30", "-p", "mu=0")
+    assert code == 1
+    assert out.splitlines()[1] == "50,,,"
+    summary, message = err.splitlines()
+    assert json.loads(summary)["failures"] == 1
+    assert message == "error: every grid point failed"

@@ -258,6 +258,17 @@ def test_sweep_records_a_chunk_of_more_than_max_steps_steps():
                                     "more than 10000000; sample less often")
 
 
+def test_sweep_records_a_point_whose_run_clips():
+    # at dt = 3 the outbreak overshoots S below zero once, and the clip grows
+    # the population from 1e6 to about 1.55e6: no estimate can stand on it
+    cfg = SweepConfig(dt=3.0, overrides={"gamma": 0.1, "delta": 0.0})
+    report = sweep(builtin("sirs"), {"beta": [1.5]}, cfg)
+    assert report.failures == 1
+    assert report.rows[0].r0_hat is None
+    assert report.rows[0].error == ("EstimateError: clipping at zero created tokens "
+                                    "in 1 place-steps of the run; use a smaller dt (--dt)")
+
+
 def test_sweep_records_per_point_failures():
     m = builtin("sirs")
     # a horizon far shorter than the outbreak: the one chunk, 1/gamma = 1000
@@ -426,7 +437,8 @@ def test_sweep_refuses_a_transfer_time_scale_that_is_not_finite():
     report = sweep(parse_model(ROTATING), {"eps": [1e-320, 1e-3]})
     bad, good = report.rows
     assert "do not decay at the DFE on a finite time scale" in bad.error
-    assert good.error is None
+    # a finite time scale passes; A and B rotate through zero, so A clips
+    assert good.error.startswith("EstimateError: clipping at zero created tokens")
 
 
 def test_sweep_lets_a_programming_error_propagate(monkeypatch):

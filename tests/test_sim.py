@@ -274,7 +274,7 @@ def test_spn_markings_stay_integral_and_conserved():
     traj = run_spn(m, 10.0, seed=7)
     total = sum(traj.markings[0])
     for mk in traj.markings:
-        assert all(float(x).is_integer() and x >= 0 for x in mk)
+        assert all(type(x) is int and x >= 0 for x in mk)
         assert sum(mk) == total
 
 
@@ -433,12 +433,13 @@ arc R -> die mult=1
 
 
 @pytest.mark.parametrize("model,t_end,sample_dt", [
+    (builtin("sirs_spn"), 1.0, 0.1),
     (builtin("seir_spn"), 300.0, 1.0),
     (builtin("seir_spn"), 40.0, 0.7),
     (parse_model(BIRTH_SPN), 20.0, 0.25),
     (parse_model(GUARD_ONLY), 30.0, 1.0),
     (parse_model(OPEN_SIR), 60.0, 0.5),
-], ids=["seir_spn", "seir_spn_fine", "birth", "guard_only", "open_sir"])
+], ids=["sirs_spn", "seir_spn", "seir_spn_fine", "birth", "guard_only", "open_sir"])
 def test_compiled_run_equals_the_direct_method_bit_for_bit(model, t_end, sample_dt):
     for seed in (1, 2, 3, 20260814):
         traj = run_spn(model, t_end, seed=seed, sample_dt=sample_dt)
@@ -447,12 +448,37 @@ def test_compiled_run_equals_the_direct_method_bit_for_bit(model, t_end, sample_
 
 
 def test_block_draws_equal_scalar_draws():
-    k = 3 * 1024 + 5
+    k = 3 * 1024 + 6
     rng = np.random.default_rng(99)
     scalar = [rng.random() for _ in range(k)]
     assert np.random.default_rng(99).random(k).tolist() == scalar
-    draw = sim._uniforms(np.random.default_rng(99))
-    assert [draw() for _ in range(k)] == scalar
+    pairs = sim._uniforms(np.random.default_rng(99))
+    assert [x for _ in range(k // 2) for x in next(pairs)] == scalar
+
+
+def test_counts_up_to_2_to_the_53_stay_exact():
+    # arrivals do not depend on X: from 2**53 - MAX_EVENTS the run counts the
+    # same arrivals as from 0, to the token
+    m = parse_model(BIRTH_SPN)
+    base = 2**53 - sim.MAX_EVENTS
+    low = run_spn(m, 5.0, seed=1, marking0=(0,))
+    high = run_spn(m, 5.0, seed=1, marking0=(base,))
+    assert low.final()[0] > 0
+    assert high.markings == tuple((base + x,) for (x,) in low.markings)
+    assert all(type(x) is int for mk in high.markings for x in mk)
+    # a closed population gains no tokens, so it may start at 2**53 itself
+    traj = run_spn(builtin("sirs_spn"), 0.5, seed=1, marking0=(2**53 - 2000, 2000, 0))
+    assert traj.final() != traj.markings[0]
+    assert all(sum(mk) == 2**53 for mk in traj.markings)
+
+
+@pytest.mark.parametrize("model,marking0", [
+    (parse_model(BIRTH_SPN), (2**53 - sim.MAX_EVENTS + 1,)),
+    (builtin("sirs_spn"), (2**53 - 2000, 2001, 0)),
+], ids=["birth", "sirs_spn"])
+def test_counts_that_could_pass_2_to_the_53_are_refused(model, marking0):
+    with pytest.raises(SimError, match=r"more than 2\*\*53"):
+        run_spn(model, 0.5, seed=1, marking0=marking0)
 
 
 @contextmanager
