@@ -399,10 +399,10 @@ ERROR_CASES = {
                                "--dt", "1e-300"], 1),
     "too_many_samples_spn": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
                               "--sample-dt", "1e-300", "--seed", "1"], 1),
-    # 1001 samples, but refused before any of its 1e12 Euler steps
     # refused before any event: the counts could pass 2**53, past which
     # floats do not count exactly
     "count_bound_spn": (["simulate", "{net}", "--t-end", "1", "--seed", "1"], 1),
+    # 1001 samples, but refused before any of its 1e12 Euler steps
     "too_many_steps_vapn": (["simulate", "--builtin", "sirs", "--t-end", "1",
                              "--dt", "1e-12", "--sample-every", "1000000000"], 1),
     # a step that is not positive and finite is the command line's fault
