@@ -219,6 +219,11 @@ def cmd_sweep(args) -> int:
     else:
         report.write_csv(sys.stdout)
         _emit_json(report.summary(), sys.stderr)
+    # a failed row's CSV cells are empty: say on stderr why it failed
+    for row in report.rows:
+        if row.error is not None:
+            point = ", ".join(f"{k}={row.params[k]:.12g}" for k in report.grid_names)
+            print(f"point {point} failed: {row.error}", file=sys.stderr)
     if report.failures == len(report.rows):
         print("error: every grid point failed", file=sys.stderr)
         return 1

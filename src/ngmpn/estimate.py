@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import linalg
 from .errors import NgmpnError
@@ -31,8 +32,7 @@ class EstimateError(NgmpnError):
     pass
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(NamedTuple):
     r0_hat: float
     attack_rate: float
     s0: float
@@ -128,18 +128,18 @@ def rrmse(rows) -> float:
 CHUNK_T = 400.0
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     dt: float = 0.05
     conv_tol: float = 1e-6          # plateau when |dS per chunk| <= tol*n
     max_t: float = 3e5
     susceptible: tuple | str = "S"
-    overrides: dict = field(default_factory=dict)   # fixed params, e.g. delta=0
+    # fixed params, e.g. delta=0; the default is read-only, since every
+    # config made without overrides shares it
+    overrides: dict = MappingProxyType({})
     marking0: tuple | None = None   # default: the model's initial marking
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     params: dict
     r0_alg: float | None = None
     r0_hat: float | None = None
@@ -147,8 +147,7 @@ class SweepRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     rows: tuple
     rrmse: float
     max_rel_err: float

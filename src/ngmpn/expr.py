@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import NgmpnError
 
@@ -45,66 +44,153 @@ class UnboundSymbolError(EvalError):
         self.name = name
 
 
+_set = object.__setattr__
+
+
 class Expr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes. A node is immutable, and equal (with
+    an equal hash) to a node of the same class whose fields are equal."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: "
+                             f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None)
+
+    def __reduce__(self):   # copy and pickle rebuild a node by its constructor
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Constant(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value,) == (other.value,)
+
+    def __hash__(self):
+        return hash((self.value,))
 
     def __repr__(self):
         return f"Constant({self.value!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class Symbol(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name,) == (other.name,)
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __repr__(self):
         return f"Symbol({self.name!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class Add(Expr):
-    terms: tuple
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        _set(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.terms,) == (other.terms,)
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     def __repr__(self):
         return "Add(" + ", ".join(map(repr, self.terms)) + ")"
 
 
-@dataclass(frozen=True, repr=False)
 class Mul(Expr):
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        _set(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.factors,) == (other.factors,)
+
+    def __hash__(self):
+        return hash((self.factors,))
 
     def __repr__(self):
         return "Mul(" + ", ".join(map(repr, self.factors)) + ")"
 
 
-@dataclass(frozen=True, repr=False)
 class Div(Expr):
-    num: Expr
-    den: Expr
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Expr, den: Expr):
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"Div({self.num!r}, {self.den!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class Pow(Expr):
-    base: Expr
-    exponent: float  # numeric only; general symbolic exponents are not needed
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: float):
+        # numeric only; general symbolic exponents are not needed
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.exponent) == (other.base, other.exponent)
+
+    def __hash__(self):
+        return hash((self.base, self.exponent))
 
     def __repr__(self):
         return f"Pow({self.base!r}, {self.exponent!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arg,) == (other.arg,)
+
+    def __hash__(self):
+        return hash((self.arg,))
 
     def __repr__(self):
         return f"Neg({self.arg!r})"

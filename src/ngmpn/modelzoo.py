@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import NgmpnError
 from .expr import parse_expr, eval_expr
@@ -22,22 +22,31 @@ class ZooError(NgmpnError):
     pass
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     default: float
     lo: float
     hi: float
 
 
-@dataclass(frozen=True, eq=False)
 class ZooEntry:
-    id: str
-    kind: str
-    description: str
-    susceptible: str
-    params: dict          # name -> ParamSpec
-    closed_form: str | None
-    file: str
+    """One bundled model: its manifest record."""
+
+    __slots__ = ("id", "kind", "description", "susceptible", "params",
+                 "closed_form", "file")
+
+    def __init__(self, id: str, kind: str, description: str, susceptible: str,
+                 params: dict, closed_form: str | None, file: str):
+        self.id = id
+        self.kind = kind
+        self.description = description
+        self.susceptible = susceptible
+        self.params = params            # name -> ParamSpec
+        self.closed_form = closed_form
+        self.file = file
+
+    def __repr__(self):
+        return "ZooEntry(" + ", ".join(f"{k}={getattr(self, k)!r}"
+                                       for k in self.__slots__) + ")"
 
     def defaults(self) -> dict:
         return {name: spec.default for name, spec in self.params.items()}

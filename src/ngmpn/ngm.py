@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import linalg
@@ -70,8 +69,7 @@ class DfeError(NgmError):
     pass
 
 
-@dataclass(frozen=True)
-class DfeResult:
+class DfeResult(NamedTuple):
     marking: tuple   # aligned with model places; infected entries are 0.0
     method: str      # annotated | newton | conservation-augmented
     residual: float  # largest remaining net flow relative to the flow scale
@@ -79,18 +77,29 @@ class DfeResult:
     params: tuple = ()  # the parameter values solved at, in declaration order
 
 
-@dataclass(frozen=True, eq=False)
 class NgmResult:
-    dfe: DfeResult
-    script_f: tuple    # symbolic new-infection inflow per infected place
-    script_v: tuple    # symbolic transfer matrix (rows x cols of Expr)
-    F: tuple           # numeric Jacobians at the DFE
-    V: tuple
-    Vinv: tuple
-    K: tuple           # F V^-1
-    r0: float
-    diagnostics: dict
-    findings: tuple
+    """The R0 of a model at one parameter point and how it was found."""
+
+    __slots__ = ("dfe", "script_f", "script_v", "F", "V", "Vinv", "K", "r0",
+                 "diagnostics", "findings")
+
+    def __init__(self, dfe: DfeResult, script_f: tuple, script_v: tuple, F: tuple,
+                 V: tuple, Vinv: tuple, K: tuple, r0: float, diagnostics: dict,
+                 findings: tuple):
+        self.dfe = dfe
+        self.script_f = script_f    # symbolic new-infection inflow per infected place
+        self.script_v = script_v    # symbolic transfer matrix (rows x cols of Expr)
+        self.F = F                  # numeric Jacobians at the DFE
+        self.V = V
+        self.Vinv = Vinv
+        self.K = K                  # F V^-1
+        self.r0 = r0
+        self.diagnostics = diagnostics
+        self.findings = findings
+
+    def __repr__(self):
+        return "NgmResult(" + ", ".join(f"{k}={getattr(self, k)!r}"
+                                        for k in self.__slots__) + ")"
 
     def as_dict(self) -> dict:
         return {

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NgmpnError
 from .expr import (Expr, Constant, Add, Neg, add_, mul_, parse_expr,
@@ -43,42 +43,53 @@ class ModelError(NgmpnError):
     """Structural problem in a model definition."""
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     name: str
     init: float
     infected: bool = False
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     name: str
     rate: Expr | None = None          # spn only
     kind_override: str | None = None  # "infection" | "transfer", wins if set
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     source: str
     target: str
     weight: Expr | None = None  # vapn
     mult: int | None = None     # spn
 
 
-@dataclass(frozen=True, eq=False)  # identity equality so models can key caches
-class PetriModel:
-    name: str
-    kind: str  # "vapn" | "spn"
-    places: tuple
-    transitions: tuple
-    arcs: tuple
-    params: dict
+_set = object.__setattr__
 
-    def __post_init__(self):
-        object.__setattr__(self, "_place_idx",
-                           {p.name: i for i, p in enumerate(self.places)})
-        object.__setattr__(self, "_trans_idx",
-                           {t.name: i for i, t in enumerate(self.transitions)})
+
+class PetriModel:
+    """An immutable net. Equality is identity, so that a model can key caches
+    (codegen.per_model keeps a model's generated code in a
+    WeakKeyDictionary)."""
+
+    __slots__ = ("name", "kind", "places", "transitions", "arcs", "params",
+                 "_place_idx", "_trans_idx", "__weakref__")
+
+    def __init__(self, name: str, kind: str, places: tuple, transitions: tuple,
+                 arcs: tuple, params: dict):
+        _set(self, "name", name)
+        _set(self, "kind", kind)    # "vapn" | "spn"
+        _set(self, "places", places)
+        _set(self, "transitions", transitions)
+        _set(self, "arcs", arcs)
+        _set(self, "params", params)
+        _set(self, "_place_idx", {p.name: i for i, p in enumerate(places)})
+        _set(self, "_trans_idx", {t.name: i for i, t in enumerate(transitions)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: PetriModel is immutable")
+
+    def __reduce__(self):   # copy and pickle rebuild a model by its constructor
+        return PetriModel, (self.name, self.kind, self.places, self.transitions,
+                            self.arcs, self.params)
 
     # ---- lookups
 
@@ -385,8 +396,7 @@ def classify_transitions(m: PetriModel) -> dict:
 
 # ----------------------------------------------------- structural checks
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     code: str      # A1..A5 or "fatal"
     status: str    # satisfied | violated | skipped
     detail: str

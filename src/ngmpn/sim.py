@@ -13,8 +13,10 @@ Stochastic nets fire one transition at a time (Gillespie's direct method):
 each enabled transition's rate is its propensity, waiting times are
 exponential, and the next event is chosen proportionally to propensity.
 Each event takes one pair of uniform draws, the first for the wait and the
-second for the choice. Markings are token counts: the loop holds them as
-floats, which count exactly up to 2**53, and every recorded marking holds
+second for the choice, from numpy's PCG64 generator; numpy is imported only
+where a generator or a seed is made, so deterministic runs never load it.
+Markings are token counts: the loop holds them as floats, which count
+exactly up to 2**53, and every recorded marking holds
 Python ints. A run whose counts could pass 2**53 within MAX_EVENTS events
 raises SimError before it starts. After an event only the propensities that
 read a place the event changed (in its rate or in an input-arc guard), or
@@ -42,9 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from .codegen import (assignments, call, emit, generated, per_model, symbol_table,
                       targets)
@@ -57,14 +56,26 @@ class SimError(NgmpnError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class Trajectory:
-    places: tuple          # place names, column order of markings
-    times: tuple
-    markings: tuple        # tuple of marking tuples, aligned with times
-    clipping_events: int = 0   # vapn: number of clipped place-steps
-    rng_seed: int | None = None
-    metadata: dict = field(default_factory=dict)
+    """Sampled times and markings of one run."""
+
+    __slots__ = ("places", "times", "markings", "clipping_events", "rng_seed",
+                 "metadata")
+
+    def __init__(self, places: tuple, times: tuple, markings: tuple,
+                 clipping_events: int = 0, rng_seed: int | None = None,
+                 metadata: dict | None = None):
+        self.places = places        # place names, column order of markings
+        self.times = times
+        self.markings = markings    # tuple of marking tuples, aligned with times
+        self.clipping_events = clipping_events  # vapn: number of clipped place-steps
+        self.rng_seed = rng_seed
+        # each trajectory owns its metadata: run_spn_replicates adds to it
+        self.metadata = {} if metadata is None else metadata
+
+    def __repr__(self):
+        return "Trajectory(" + ", ".join(f"{k}={getattr(self, k)!r}"
+                                         for k in self.__slots__) + ")"
 
     def column(self, place: str):
         if place not in self.places:
@@ -213,10 +224,12 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
     span = t_end - t0
     if not 0 <= span < math.inf:
         raise SimError("t_end must be finite and not before t0")
-    _check_samples(span / dt / sample_every)
+    # the step count first: a run over both bounds needs a larger dt, and
+    # sampling less often would leave it over the step bound
     if not span / dt <= MAX_STEPS:
         raise SimError(f"the run would take {span / dt:.3g} Euler steps, more "
                        f"than {MAX_STEPS}; use a larger dt")
+    _check_samples(span / dt / sample_every)
     p = _param_values(m, params)
     runner = per_model(m, _build_vapn)
     marking = _marking(m, marking0 if marking0 is not None else m.initial_marking())
@@ -354,6 +367,7 @@ def _uniforms(rng):
 def _seed(seed) -> int:
     """The seed once checked, or a fresh one from the OS when it is None."""
     if seed is None:
+        import numpy as np
         return int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise SimError(f"seed must be a non-negative integer, got {seed!r}")
@@ -404,6 +418,7 @@ def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
     p = _param_values(m, params)
     runner = per_model(m, _build_spn)
     seed = _seed(seed)
+    import numpy as np
     rng = np.random.default_rng(seed)
     marking = _counts(m, marking0 if marking0 is not None else m.initial_marking())
     _check_counts(m, marking)
@@ -431,6 +446,7 @@ def run_spn_replicates(m: PetriModel, t_end: float, seed: int | None = None,
     if not isinstance(replicates, numbers.Integral) or replicates < 1:
         raise SimError(f"replicates must be an integer >= 1, got {replicates!r}")
     seed = _seed(seed)
+    import numpy as np
     out = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
         child_seed = int(child.generate_state(1, dtype=np.uint64)[0])

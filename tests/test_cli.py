@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,9 +264,11 @@ def test_sweep_with_every_point_failed_exits_1(capsys):
                          "-p", "gamma=0.001", "--max-t", "10", "--conv-tol", "1e-12")
     assert code == 1
     assert len(out.splitlines()) == 3
-    summary, message = err.splitlines()
+    summary, *points, message = err.splitlines()
     assert json.loads(summary) == {"failures": 2, "max_rel_err": None,
                                    "n_points": 2, "rrmse": None}
+    assert [p.split(": ")[0] for p in points] == ["point beta=0.003 failed",
+                                                 "point beta=0.004 failed"]
     assert message.startswith("error: ")
 
 
@@ -272,8 +278,10 @@ def test_sweep_with_a_chunk_of_more_than_max_steps_steps_exits_1(capsys):
                          "-p", "delta=0", "--dt", "1e-310")
     assert code == 1
     assert out.splitlines()[1] == "0.3,,,"
-    summary, message = err.splitlines()
+    summary, point, message = err.splitlines()
     assert json.loads(summary)["failures"] == 1
+    assert point == ("point beta=0.3 failed: SimError: the run would take inf Euler "
+                     "steps, more than 1000000000; use a larger dt")
     assert message == "error: every grid point failed"
 
 
@@ -395,8 +403,8 @@ ERROR_CASES = {
     "init_inf_spn": (["simulate", "{net}", "--t-end", "1", "--seed", "1"], 2),
     "init_nan_spn": (["r0", "{net}"], 2),
     # refused before the sample lists are allocated
-    "too_many_samples_vapn": (["simulate", "--builtin", "sirs", "--t-end", "1",
-                               "--dt", "1e-300"], 1),
+    "too_many_samples_vapn": (["simulate", "--builtin", "sirs", "--t-end", "2e8",
+                               "--dt", "10"], 1),
     "too_many_samples_spn": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
                               "--sample-dt", "1e-300", "--seed", "1"], 1),
     # refused before any event: the counts could pass 2**53, past which
@@ -493,6 +501,63 @@ def test_sweep_point_whose_run_clips_is_a_failure(capsys):
                          "--grid", "beta=50:50:1", "--dt", "30", "-p", "mu=0")
     assert code == 1
     assert out.splitlines()[1] == "50,,,"
-    summary, message = err.splitlines()
+    summary, point, message = err.splitlines()
     assert json.loads(summary)["failures"] == 1
+    assert point == ("point beta=50 failed: EstimateError: clipping at zero created "
+                     "tokens in 6 place-steps of the run; use a smaller dt (--dt)")
     assert message == "error: every grid point failed"
+
+
+def test_sweep_names_each_failed_point_on_stderr(capsys, tmp_path):
+    # at dt 3 the beta=1.5 run clips and beta=0.3 does not: the sweep
+    # succeeds, and stderr says why the row with empty cells failed
+    argv = ["sweep", "--builtin", "sirs", "--grid", "beta=0.3:1.5:2", "-p", "delta=0",
+            "-p", "gamma=0.1", "--dt", "3"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[2] == "1.5,,,"
+    summary, point = err.splitlines()
+    assert json.loads(summary)["failures"] == 1
+    assert point == ("point beta=1.5 failed: EstimateError: clipping at zero created "
+                     "tokens in 1 place-steps of the run; use a smaller dt (--dt)")
+    # with -o the summary goes to stdout, and the point still to stderr
+    code, out, err = run(capsys, *argv, "-o", str(tmp_path / "sweep.csv"))
+    assert code == 0
+    assert json.loads(out)["failures"] == 1
+    assert err == point + "\n"
+
+
+# ------------------------------------------------------------------ imports
+
+# Run in a fresh interpreter: after each step, which of numpy and
+# dataclasses are loaded. Command output goes to a buffer.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+loaded = lambda: [m for m in ("numpy", "dataclasses") if m in sys.modules]
+steps = {}
+import ngmpn.cli
+steps["import"] = loaded()
+for name, argv in [
+        ("r0", ["r0", "--builtin", "patch2"]),
+        ("simulate vapn", ["simulate", "--builtin", "sirs", "--t-end", "1"]),
+        ("sweep", ["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
+                   "-p", "delta=0"]),
+        ("simulate spn", ["simulate", "--builtin", "sirs_spn", "--t-end", "1",
+                          "--seed", "1"])]:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert ngmpn.cli.main(argv) == 0, name
+    steps[name] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_only_a_stochastic_run_loads_numpy():
+    # one R0, a vapn run and a sweep are the paper's one-shot uses: a process
+    # doing them pays for neither numpy nor dataclasses at import
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": [], "r0": [], "simulate vapn": [],
+                                       "sweep": [], "simulate spn": ["numpy"]}

@@ -6,13 +6,15 @@ Where eval_expr gives a value, the generated code must give the same bits
 (compared with float.hex); where eval_expr raises EvalError, the generated
 code must fail too, as NgmError in ngm and as SimError in sim.
 """
+import gc
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngmpn import ngm, sim
+from ngmpn import codegen, ngm, sim
 from ngmpn.codegen import assignments, call, emit, generated, per_model, targets
 from ngmpn.expr import (Add, Constant, Div, EvalError, Mul, Neg, Pow, Symbol, add_,
                         diff, eval_expr, simplify, substitute, to_text)
@@ -104,6 +106,34 @@ def test_powers_at_the_edges(base, exponent):
             f([base] * len(NAMES))
     else:
         assert hexes([f([base] * len(NAMES))]) == hexes(want)
+
+
+# ---------------------------------------------------------------- per_model
+
+def test_per_model_builds_once_per_model_object():
+    # models compare by identity: an equal text parsed twice is two models,
+    # and a model's built code goes when the model does
+    built = []
+
+    def build(m):
+        built.append(m.name)
+        return len(built)
+
+    a, b = parse_model(r0_net("gamma*I")), parse_model(r0_net("gamma*I"))
+    assert a != b and a == a and len({a, b}) == 2
+    assert [per_model(a, build), per_model(a, build), per_model(b, build)] == [1, 1, 2]
+    with pytest.raises(AttributeError):
+        a.places = ()
+    # a pickled model comes back as another model, with code of its own
+    c = pickle.loads(pickle.dumps(a))
+    assert c != a and c.places == a.places and c.place_index("R") == 2
+    assert per_model(c, build) == 3
+    held = len(codegen._built)
+    del a, c
+    gc.collect()
+    assert len(codegen._built) == held - 2
+    assert per_model(b, build) == 2
+    assert built == ["gen"] * 3
 
 
 # --------------------------------------------------------------------- ngm

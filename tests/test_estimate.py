@@ -250,12 +250,14 @@ def test_sweep_runs_the_r0_pipeline_once_a_point(monkeypatch):
 
 
 def test_sweep_records_a_chunk_of_more_than_max_steps_steps():
-    # 400/1e-310 steps overflows to inf; run_vapn refuses the chunk
-    cfg = SweepConfig(dt=1e-310, overrides={"delta": 0.0})
-    report = sweep(builtin("sirs"), {"beta": [0.3]}, cfg)
-    assert report.failures == 1
-    assert report.rows[0].error == ("SimError: the run would record inf samples, "
-                                    "more than 10000000; sample less often")
+    # a 400-long chunk takes 4e302 steps at dt 1e-300 and, overflowing, inf
+    # at 1e-310; run_vapn refuses it with advice a sweep can follow
+    for dt, steps in [(1e-300, "4e+302"), (1e-310, "inf")]:
+        cfg = SweepConfig(dt=dt, overrides={"delta": 0.0})
+        report = sweep(builtin("sirs"), {"beta": [0.3]}, cfg)
+        assert report.failures == 1
+        assert report.rows[0].error == (f"SimError: the run would take {steps} Euler "
+                                        f"steps, more than 1000000000; use a larger dt")
 
 
 def test_sweep_records_a_point_whose_run_clips():
@@ -282,6 +284,17 @@ def test_sweep_records_per_point_failures():
     assert math.isnan(report.rrmse)
     assert report.summary()["rrmse"] is None
     assert report.summary()["max_rel_err"] is None
+
+
+def test_records_share_no_mutable_default():
+    # run_spn_replicates adds to a trajectory's metadata; a config made
+    # without overrides cannot change those of another
+    a, b = Trajectory(("S",), (0.0,), ((1.0,),)), Trajectory(("S",), (0.0,), ((1.0,),))
+    a.metadata["replicate"] = 0
+    assert b.metadata == {}
+    with pytest.raises(TypeError):
+        SweepConfig().overrides["delta"] = 0.0
+    assert SweepConfig().overrides == {}
 
 
 def test_sweep_summary_and_csv():

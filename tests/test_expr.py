@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,6 +45,54 @@ def bindings():
 
 
 # ------------------------------------------------------------ parse / print
+
+X, Y = Symbol("x"), Symbol("y")
+
+# each node class: a node, an equal node built apart, one with another field
+# value, its repr, and a field name
+NODES = {
+    "Constant": (Constant(2.5), Constant(2.5), Constant(3.5), "Constant(2.5)", "value"),
+    "Symbol": (X, Symbol("x"), Y, "Symbol('x')", "name"),
+    "Add": (Add((X, Y)), Add((Symbol("x"), Y)), Add((Y, X)),
+            "Add(Symbol('x'), Symbol('y'))", "terms"),
+    "Mul": (Mul((X, Y)), Mul((Symbol("x"), Y)), Mul((X, X)),
+            "Mul(Symbol('x'), Symbol('y'))", "factors"),
+    "Div": (Div(X, Y), Div(Symbol("x"), Y), Div(Y, X),
+            "Div(Symbol('x'), Symbol('y'))", "num"),
+    "Pow": (Pow(X, 2.0), Pow(Symbol("x"), 2.0), Pow(X, 3.0),
+            "Pow(Symbol('x'), 2.0)", "exponent"),
+    "Neg": (Neg(X), Neg(Symbol("x")), Neg(Y), "Neg(Symbol('x'))", "arg"),
+}
+
+
+@pytest.mark.parametrize("cls", sorted(NODES))
+def test_node_equality_hash_repr_and_immutability(cls):
+    node, twin, other, text, field = NODES[cls]
+    assert type(node).__name__ == cls
+    assert node == twin and not node != twin and hash(node) == hash(twin)
+    assert node != other and not node == other
+    assert node != getattr(node, field)     # never equal to a field's value
+    assert repr(node) == text
+    with pytest.raises(AttributeError):
+        setattr(node, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+    assert getattr(node, field) == getattr(twin, field)
+    for again in (copy.copy(node), copy.deepcopy(node),
+                  pickle.loads(pickle.dumps(node))):
+        assert type(again) is type(node) and again == node
+
+
+def test_node_equality_compares_class_then_fields():
+    # fields compare as floats do: signed zeros are equal, with equal hashes
+    assert Constant(0.0) == Constant(-0.0)
+    assert hash(Constant(0.0)) == hash(Constant(-0.0))
+    assert Pow(X, 2) == Pow(X, 2.0)
+    # equal fields in another class are another node
+    assert Add((X,)) != Mul((X,))
+    assert Neg(X) != Add((X,)) and Constant(1.0) != 1.0
+    assert len({Add((X,)), Mul((X,)), Add((Symbol("x"),))}) == 2
+
 
 @pytest.mark.parametrize("text", [
     "beta*S*I/N",

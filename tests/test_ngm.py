@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from ngmpn import linalg
 from ngmpn.expr import Constant, Mul, eval_expr, to_text
 from ngmpn.modelzoo import builtin, oracle_r0, zoo_entry, zoo_ids
 from ngmpn.ngm import DfeError, NgmError, compute_dfe, ngm_r0
-from ngmpn.petri import net_flow, parse_model
+from ngmpn.petri import PetriModel, net_flow, parse_model
 
 
 def rel(a, b):
@@ -459,11 +458,12 @@ def rescaled(m, c):
     """The net with every arc weight (vapn) or rate (spn) multiplied by c,
     i.e. with time running c times as fast."""
     k = Constant(c)
+    arcs, transitions = m.arcs, m.transitions
     if m.kind == "vapn":
-        return replace(m, arcs=tuple(replace(a, weight=Mul((k, a.weight)))
-                                     for a in m.arcs))
-    return replace(m, transitions=tuple(replace(t, rate=Mul((k, t.rate)))
-                                        for t in m.transitions))
+        arcs = tuple(a._replace(weight=Mul((k, a.weight))) for a in arcs)
+    else:
+        transitions = tuple(t._replace(rate=Mul((k, t.rate))) for t in transitions)
+    return PetriModel(m.name, m.kind, m.places, transitions, arcs, m.params)
 
 
 @pytest.mark.parametrize("c", [1e-3, 7.0, 1e3])

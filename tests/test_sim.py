@@ -529,10 +529,11 @@ def test_net_without_transitions_is_absorbing():
 
 def test_sample_count_is_bounded_before_any_run():
     sirs, sirs_spn = builtin("sirs"), builtin("sirs_spn")
+    # 2e7 steps, each recorded, and 4e8 steps, every 20th recorded
     with pytest.raises(SimError, match="samples"):
-        run_vapn(sirs, 1.0, dt=1e-300)
+        run_vapn(sirs, 2e8, dt=10.0)
     with pytest.raises(SimError, match="samples"):
-        run_vapn(sirs, 1e300, dt=1e-300, sample_every=10 ** 9)
+        run_vapn(sirs, 4e9, dt=10.0, sample_every=20)
     with pytest.raises(SimError, match="samples"):
         run_spn(sirs_spn, 1.0, seed=1, sample_dt=1e-300)
     # the bound is on samples, not steps: thinning makes a fine step legal
@@ -545,6 +546,9 @@ def test_step_count_is_bounded_before_any_run(monkeypatch):
     # thinned to 1001 samples, but 1e12 Euler steps
     with pytest.raises(SimError, match="Euler steps"):
         run_vapn(sirs, 1.0, dt=1e-12, sample_every=10 ** 9)
+    # over both bounds: only a larger dt can mend it, so the steps are named
+    with pytest.raises(SimError, match="Euler steps.*use a larger dt"):
+        run_vapn(sirs, 1.0, dt=1e-300)
     monkeypatch.setattr(sim, "MAX_STEPS", 10)
     assert run_vapn(sirs, 1.0, dt=0.1).times[-1] == 1.0
     with pytest.raises(SimError, match="Euler steps"):
