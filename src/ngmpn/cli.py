@@ -16,11 +16,11 @@ import os
 import sys
 
 from .errors import NgmpnError
-from .estimate import SweepConfig, sweep
+from .estimate import MAX_GRID_POINTS, SweepConfig, sweep
 from .modelzoo import ZooError, builtin, zoo_entries, zoo_entry
 from .ngm import ngm_r0
 from .petri import ModelError, load_model, validate_assumptions
-from .sim import run_spn, run_spn_replicates, run_vapn
+from .sim import MAX_REPLICATES, run_spn, run_spn_replicates, run_vapn
 
 
 class UsageError(NgmpnError):
@@ -113,7 +113,8 @@ _OPTION_RANGES = [
     ("conv_tol", lambda v: 0 <= v < math.inf, "finite and >= 0"),
     ("sample_dt", lambda v: v is None or v > 0, "positive"),
     ("sample_every", lambda v: v is None or v >= 1, "an integer >= 1"),
-    ("replicates", lambda v: v is None or v >= 1, "an integer >= 1"),
+    ("replicates", lambda v: v is None or 1 <= v <= MAX_REPLICATES,
+     f"an integer from 1 to {MAX_REPLICATES}"),
 ]
 
 
@@ -177,6 +178,7 @@ def cmd_simulate(args) -> int:
 
 def _parse_grid(items):
     grid = {}
+    points = 1
     for item in items or []:
         if "=" not in item:
             raise UsageError(f"--grid expects NAME=lo:hi:count, got {item!r}")
@@ -190,6 +192,9 @@ def _parse_grid(items):
             raise UsageError(f"--grid {name}: bad numbers in {spec!r}")
         if count < 1:
             raise UsageError(f"--grid {name}: count must be >= 1")
+        points *= count
+        if points > MAX_GRID_POINTS:
+            raise UsageError(f"--grid: the grid has more than {MAX_GRID_POINTS} points")
         if count == 1:
             values = [lo]
         else:

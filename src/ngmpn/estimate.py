@@ -126,6 +126,10 @@ def rrmse(rows) -> float:
 # the shortest chunk of a converged run; a point whose slowest transfer time
 # scale, 1/min Re eig(V) at the DFE, is longer runs chunks of that length
 CHUNK_T = 400.0
+# the most points one sweep runs; at about 7 ms per point (sirs, one x86-64
+# core) that is about two hours, and its points, merged parameters and rows,
+# about 0.5 KB a point, hold about half a GB
+MAX_GRID_POINTS = 1_000_000
 
 
 class SweepConfig(NamedTuple):
@@ -259,7 +263,8 @@ def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> Sweep
     grid maps parameter names to value lists; rows come out in
     grid-lexicographic order (first name slowest). The grid and the config,
     its starting marking included, are checked before any point runs and
-    raise EstimateError; a package error at a point is recorded in its row
+    raise EstimateError, a grid of more than MAX_GRID_POINTS points before
+    any point is built; a package error at a point is recorded in its row
     and excluded from the aggregate errors, and any other exception
     propagates. A point whose transfer flows do not decay at the DFE
     (converged_run) is such an error, and so is a point whose run clipped a
@@ -272,6 +277,8 @@ def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> Sweep
         raise EstimateError("empty parameter grid")
     config = config or SweepConfig()
     names = tuple(grid.keys())
+    if math.prod(map(len, grid.values())) > MAX_GRID_POINTS:
+        raise EstimateError(f"the grid has more than {MAX_GRID_POINTS} points")
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(grid[k] for k in names))]
     merged = _check_inputs(m, config, points)

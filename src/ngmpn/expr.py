@@ -7,6 +7,11 @@ differentiation and simplification fully testable. The name ``N`` is reserved
 by the model layer, where it means the sum of all place markings; this module
 treats it like any other symbol.
 
+Node identity is defined once, in the base class ``Expr``: a node is equal
+to, and hashes like, a node of the same class whose fields compare equal as
+a tuple, and its repr is its class name with its fields. Each node class
+declares only its fields (``__slots__``) and its constructor.
+
 There is one node for sums: subtraction is an ``Add`` whose subtracted term
 is a ``Neg``, so ``a - b - c`` parses to ``Add((a, Neg(b), Neg(c)))``.
 
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from operator import attrgetter
 
 from .errors import NgmpnError
 
@@ -49,9 +55,29 @@ _set = object.__setattr__
 
 class Expr:
     """Base class for expression nodes. A node is immutable, and equal (with
-    an equal hash) to a node of the same class whose fields are equal."""
+    an equal hash) to a node of the same class whose fields are equal: each
+    subclass names its fields in ``__slots__``, and ``__init_subclass__``
+    gives it the key that equality, hash and repr read, the field itself
+    for a one-field node and the tuple of fields otherwise."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self._key(self), self._key(other)
+        return a is b or a == b     # identity first, as tuple items compare
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        key = self._key(self)       # a tuple of fields, terms or factors
+        args = key if key.__class__ is tuple else (key,)
+        return f"{type(self).__name__}({', '.join(map(repr, args))})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: "
@@ -73,34 +99,12 @@ class Constant(Expr):
     def __init__(self, value: float):
         _set(self, "value", value)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value,) == (other.value,)
-
-    def __hash__(self):
-        return hash((self.value,))
-
-    def __repr__(self):
-        return f"Constant({self.value!r})"
-
 
 class Symbol(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         _set(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name,) == (other.name,)
-
-    def __hash__(self):
-        return hash((self.name,))
-
-    def __repr__(self):
-        return f"Symbol({self.name!r})"
 
 
 class Add(Expr):
@@ -109,34 +113,12 @@ class Add(Expr):
     def __init__(self, terms: tuple):
         _set(self, "terms", terms)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.terms,) == (other.terms,)
-
-    def __hash__(self):
-        return hash((self.terms,))
-
-    def __repr__(self):
-        return "Add(" + ", ".join(map(repr, self.terms)) + ")"
-
 
 class Mul(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple):
         _set(self, "factors", factors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.factors,) == (other.factors,)
-
-    def __hash__(self):
-        return hash((self.factors,))
-
-    def __repr__(self):
-        return "Mul(" + ", ".join(map(repr, self.factors)) + ")"
 
 
 class Div(Expr):
@@ -145,17 +127,6 @@ class Div(Expr):
     def __init__(self, num: Expr, den: Expr):
         _set(self, "num", num)
         _set(self, "den", den)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.num, self.den) == (other.num, other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"Div({self.num!r}, {self.den!r})"
 
 
 class Pow(Expr):
@@ -166,34 +137,12 @@ class Pow(Expr):
         _set(self, "base", base)
         _set(self, "exponent", exponent)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.exponent) == (other.base, other.exponent)
-
-    def __hash__(self):
-        return hash((self.base, self.exponent))
-
-    def __repr__(self):
-        return f"Pow({self.base!r}, {self.exponent!r})"
-
 
 class Neg(Expr):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Expr):
         _set(self, "arg", arg)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.arg,) == (other.arg,)
-
-    def __hash__(self):
-        return hash((self.arg,))
-
-    def __repr__(self):
-        return f"Neg({self.arg!r})"
 
 
 def add_(terms) -> Expr:

@@ -69,8 +69,7 @@ def invert(a):
     m = [row + [0.0] * n for row in a]
     for i, row in enumerate(m):
         row[n + i] = 1.0
-    scale = max_abs(a)
-    tiny = 1e-14 * max(scale, 1.0)
+    tiny = 1e-14 * max_abs(a)
     for col in range(n):
         # the first row of largest magnitude, as max() picks it
         piv, best = col, abs(m[col][col])
@@ -105,7 +104,7 @@ def basic_solution(a, b):
     nrow = len(a)
     ncol = len(a[0]) if a else 0
     m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    tol = PIVOT_TOL * max(max_abs(a), 1e-30)
+    tol = PIVOT_TOL * max_abs(a)
     pivot_cols = []
     pivot_rows = []
     row = 0

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from functools import cache
-from importlib import resources
 from typing import NamedTuple
 
 from .errors import NgmpnError
@@ -22,31 +22,30 @@ class ZooError(NgmpnError):
     pass
 
 
+# the bundled model files sit next to this module
+_MODELS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "models")
+
+
+def _read(name: str) -> str:
+    with open(os.path.join(_MODELS, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 class ParamSpec(NamedTuple):
     default: float
     lo: float
     hi: float
 
 
-class ZooEntry:
+class ZooEntry(NamedTuple):
     """One bundled model: its manifest record."""
-
-    __slots__ = ("id", "kind", "description", "susceptible", "params",
-                 "closed_form", "file")
-
-    def __init__(self, id: str, kind: str, description: str, susceptible: str,
-                 params: dict, closed_form: str | None, file: str):
-        self.id = id
-        self.kind = kind
-        self.description = description
-        self.susceptible = susceptible
-        self.params = params            # name -> ParamSpec
-        self.closed_form = closed_form
-        self.file = file
-
-    def __repr__(self):
-        return "ZooEntry(" + ", ".join(f"{k}={getattr(self, k)!r}"
-                                       for k in self.__slots__) + ")"
+    id: str
+    kind: str
+    description: str
+    susceptible: str
+    params: dict                # name -> ParamSpec
+    closed_form: str | None
+    file: str
 
     def defaults(self) -> dict:
         return {name: spec.default for name, spec in self.params.items()}
@@ -54,8 +53,7 @@ class ZooEntry:
 
 @cache
 def _load() -> dict:
-    root = resources.files(__package__) / "models"
-    manifest = json.loads((root / "manifest.json").read_text())
+    manifest = json.loads(_read("manifest.json"))
     entries = {}
     for raw in manifest["models"]:
         params = {name: ParamSpec(spec["default"], spec["range"][0], spec["range"][1])
@@ -88,7 +86,7 @@ def builtin(model_id: str) -> PetriModel:
     """The parsed model for a zoo id, the same object on every call (models
     are immutable, and per-model code is keyed by model identity)."""
     entry = zoo_entry(model_id)
-    model = parse_model((resources.files(__package__) / "models" / entry.file).read_text())
+    model = parse_model(_read(entry.file))
     if model.params != entry.defaults():
         raise ZooError(f"manifest and model file disagree on {model_id} params")
     return model

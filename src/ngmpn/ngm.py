@@ -77,29 +77,18 @@ class DfeResult(NamedTuple):
     params: tuple = ()  # the parameter values solved at, in declaration order
 
 
-class NgmResult:
+class NgmResult(NamedTuple):
     """The R0 of a model at one parameter point and how it was found."""
-
-    __slots__ = ("dfe", "script_f", "script_v", "F", "V", "Vinv", "K", "r0",
-                 "diagnostics", "findings")
-
-    def __init__(self, dfe: DfeResult, script_f: tuple, script_v: tuple, F: tuple,
-                 V: tuple, Vinv: tuple, K: tuple, r0: float, diagnostics: dict,
-                 findings: tuple):
-        self.dfe = dfe
-        self.script_f = script_f    # symbolic new-infection inflow per infected place
-        self.script_v = script_v    # symbolic transfer matrix (rows x cols of Expr)
-        self.F = F                  # numeric Jacobians at the DFE
-        self.V = V
-        self.Vinv = Vinv
-        self.K = K                  # F V^-1
-        self.r0 = r0
-        self.diagnostics = diagnostics
-        self.findings = findings
-
-    def __repr__(self):
-        return "NgmResult(" + ", ".join(f"{k}={getattr(self, k)!r}"
-                                        for k in self.__slots__) + ")"
+    dfe: DfeResult
+    script_f: tuple     # symbolic new-infection inflow per infected place
+    script_v: tuple     # symbolic transfer matrix (rows x cols of Expr)
+    F: tuple            # numeric Jacobians at the DFE
+    V: tuple
+    Vinv: tuple
+    K: tuple            # F V^-1
+    r0: float
+    diagnostics: dict
+    findings: tuple
 
     def as_dict(self) -> dict:
         return {
@@ -252,7 +241,11 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
     unknowns = [w.dfe_places[j] for j in cols]
     values = [pinned.get(name, v) for name, v in zip(w.dfe_places, w.dfe_init)]
     target = w.total - sum(pinned.values())
-    augmented = False
+    weight = 0.0    # of the conservation row; 0.0 until the row is added
+
+    def conserve(u, f, jac):
+        """f and jac with the token conservation row appended."""
+        return f + [weight * (sum(u) - target)], jac + [[weight] * len(u)]
 
     def system(u):
         """Residuals, flow scale and Jacobian over the unknowns at u: the
@@ -262,8 +255,8 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
         f, scale, jac = call(m, NgmError, w.dfe, values, bound.values())
         if pinned:
             jac = [[row[j] for j in cols] for row in jac]
-        if augmented:
-            f, jac = f + [sum(u) - target], jac + [[1.0] * len(u)]
+        if weight:
+            f, jac = conserve(u, f, jac)
         return f, scale, jac
 
     u = [values[j] for j in cols]
@@ -271,13 +264,16 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
     # the pivots depend on jac alone, so one elimination gives both the rank
     # and, unless a conservation row joins jac, the first Newton step
     step, rank, _ = linalg.basic_solution(jac, [-v for v in f])
-    augmented = rank < len(u)
-    if augmented:
+    if rank < len(u):
         notes.append("flow Jacobian is rank deficient; added token conservation")
-        f, jac = f + [sum(u) - target], jac + [[1.0] * len(u)]
+        # weighted by a power of two (which rounds nothing) at least as large
+        # as jac's entries, up to 2**1023, the largest a float holds: at any
+        # time scale of the rates, its pivots are then not counted as zero
+        weight = max(1.0, 2.0 ** min(math.frexp(linalg.max_abs(jac))[1], 1023))
+        f, jac = conserve(u, f, jac)
         step = None
     method = ("annotated" if pinned or not unknowns else
-              "conservation-augmented" if augmented else "newton")
+              "conservation-augmented" if weight else "newton")
 
     res = max(map(abs, f), default=0.0)
     for _ in range(DFE_MAX_ITER):

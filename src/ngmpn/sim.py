@@ -109,6 +109,10 @@ MAX_STEPS = 1_000_000_000
 # (sirs_spn on one x86-64 core, the best of 15 runs) that is about 50
 # seconds of simulation
 MAX_EVENTS = 100_000_000
+# the most replicates one call runs; a seed is spawned for each up front and
+# every trajectory is held until the call returns, about 1.2 KB a replicate
+# even with one sample (sirs_spn), so a million would hold over a GB
+MAX_REPLICATES = 100_000
 
 
 def _check_samples(count: float):
@@ -443,8 +447,10 @@ def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
 def run_spn_replicates(m: PetriModel, t_end: float, seed: int | None = None,
                        replicates: int = 1, params=None, sample_dt: float = 1.0):
     """Independent replicate runs with generators spawned from one seed."""
-    if not isinstance(replicates, numbers.Integral) or replicates < 1:
-        raise SimError(f"replicates must be an integer >= 1, got {replicates!r}")
+    if not (isinstance(replicates, numbers.Integral)
+            and 1 <= replicates <= MAX_REPLICATES):
+        raise SimError(f"replicates must be an integer from 1 to {MAX_REPLICATES}, "
+                       f"got {replicates!r}")
     seed = _seed(seed)
     import numpy as np
     out = []

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from ngmpn.cli import _parse_grid, _round12, main
+from ngmpn.estimate import MAX_GRID_POINTS
+from ngmpn.sim import MAX_REPLICATES
 
 SIR_FILE = """\
 model tiny kind=vapn
@@ -561,3 +563,72 @@ def test_only_a_stochastic_run_loads_numpy():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"import": [], "r0": [], "simulate vapn": [],
                                        "sweep": [], "simulate spn": ["numpy"]}
+
+
+def test_builtin_models_load_without_importlib_resources():
+    # modelzoo reads its models from the directory next to it; without site
+    # (-S) nothing else imports importlib.resources on the way
+    probe = ("import contextlib, io, sys\n"
+             "import ngmpn.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert ngmpn.cli.main(['r0', '--builtin', 'sirs']) == 0\n"
+             "print('importlib.resources' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+# ------------------------------------------------------------------ bounds
+
+# Run in a fresh interpreter whose address space is capped at 1 GiB: an
+# oversized grid or replicate count must be refused before anything of its
+# size is built, so no case may end in MemoryError.
+BOUND_PROBE = """
+import contextlib, io, json, resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from ngmpn import builtin, run_spn_replicates, sweep
+from ngmpn.cli import main
+out = {}
+for name, argv in [
+        ("grid count", ["sweep", "--builtin", "sirs", "--grid", "beta=0.1:0.5:1000000000"]),
+        ("grid product", ["sweep", "--builtin", "sirs", "--grid", "beta=0.1:0.5:100000",
+                          "--grid", "gamma=0.1:0.2:100000"]),
+        ("replicates", ["simulate", "--builtin", "sirs_spn", "--t-end", "1", "--seed", "1",
+                        "--replicates", "100000000"])]:
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except Exception as exc:
+        code = type(exc).__name__
+    out[name] = [code, err.getvalue()]
+for name, call in [
+        ("sweep", lambda: sweep(builtin("sirs"), {"beta": [0.3] * 100000,
+                                                  "gamma": [0.1] * 100000})),
+        ("run_spn_replicates", lambda: run_spn_replicates(builtin("sirs_spn"), 1.0, seed=1,
+                                                          replicates=10**8))]:
+    try:
+        out[name] = repr(call())
+    except Exception as exc:
+        out[name] = f"{type(exc).__name__}: {exc}"
+print(json.dumps(out))
+"""
+
+
+def test_oversized_grids_and_replicate_counts_are_refused_before_allocating():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", BOUND_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grid = f"error: --grid: the grid has more than {MAX_GRID_POINTS} points\n"
+    assert json.loads(proc.stdout) == {
+        "grid count": [2, grid],
+        "grid product": [2, grid],
+        "replicates": [2, f"error: --replicates must be an integer from 1 to "
+                          f"{MAX_REPLICATES}\n"],
+        "sweep": f"EstimateError: the grid has more than {MAX_GRID_POINTS} points",
+        "run_spn_replicates": f"SimError: replicates must be an integer from 1 to "
+                              f"{MAX_REPLICATES}, got 100000000",
+    }

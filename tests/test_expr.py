@@ -92,6 +92,12 @@ def test_node_equality_compares_class_then_fields():
     assert Add((X,)) != Mul((X,))
     assert Neg(X) != Add((X,)) and Constant(1.0) != 1.0
     assert len({Add((X,)), Mul((X,)), Add((Symbol("x"),))}) == 2
+    # fields compare as field tuples do, identity first: a node holding a
+    # NaN equals a node holding the same NaN object, but not another NaN
+    nan = math.nan
+    assert Constant(nan) == Constant(nan) and hash(Constant(nan)) == hash(Constant(nan))
+    assert Pow(X, nan) == Pow(X, nan)
+    assert Constant(nan) != Constant(float("nan"))
 
 
 @pytest.mark.parametrize("text", [

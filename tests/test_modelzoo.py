@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -22,6 +24,17 @@ CLOSED_FORM_IDS = tuple(FROZEN_ORACLE)
 def test_catalog_ids():
     assert zoo_ids() == ("sirs", "sirs_spn", "seir", "seir_spn", "seeir",
                          "covid", "nonlinear", "patch2", "vectorborne")
+
+
+@pytest.mark.parametrize("record", ["NgmResult", "ZooEntry"])
+def test_records_are_immutable_and_copy(record):
+    rec = ngm_r0(builtin("sirs")) if record == "NgmResult" else zoo_entry("sirs")
+    assert type(rec).__name__ == record
+    for field in rec._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+    for again in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(again) is type(rec) and again == rec
 
 
 def test_entries_are_well_formed():

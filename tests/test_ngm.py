@@ -466,7 +466,7 @@ def rescaled(m, c):
     return PetriModel(m.name, m.kind, m.places, transitions, arcs, m.params)
 
 
-@pytest.mark.parametrize("c", [1e-3, 7.0, 1e3])
+@pytest.mark.parametrize("c", [1e-30, 1e-14, 1e-3, 7.0, 1e3, 1e12, 1e30])
 @pytest.mark.parametrize("mid", zoo_ids())
 def test_r0_and_dfe_invariant_under_time_rescaling(mid, c):
     # scaling every rate by c scales F and V by c, so K = F V^-1 and the
@@ -480,3 +480,13 @@ def test_r0_and_dfe_invariant_under_time_rescaling(mid, c):
     assert res.dfe.method == base.dfe.method
     assert ([(f.code, f.status) for f in res.findings]
             == [(f.code, f.status) for f in base.findings])
+
+
+def test_conservation_row_keeps_its_pivot_next_to_huge_flow_rates():
+    # sirs's flow Jacobian on S and R is rank deficient, with entries of
+    # +-delta; at delta near the largest float the conservation row still
+    # counts, and its power-of-two weight does not overflow
+    base = ngm_r0(builtin("sirs"))
+    res = ngm_r0(builtin("sirs"), params={"delta": 1.7e308})
+    assert res.dfe.method == base.dfe.method == "conservation-augmented"
+    assert res.dfe.marking == base.dfe.marking and res.r0 == base.r0
