@@ -183,6 +183,9 @@ def _parse_grid(items):
         if "=" not in item:
             raise UsageError(f"--grid expects NAME=lo:hi:count, got {item!r}")
         name, _, spec = item.partition("=")
+        name = name.strip()
+        if name in grid:
+            raise UsageError(f"--grid {name}: given more than once")
         parts = spec.split(":")
         if len(parts) != 3:
             raise UsageError(f"--grid {name}: expected lo:hi:count, got {spec!r}")
@@ -203,7 +206,7 @@ def _parse_grid(items):
         # an inf or nan bound, or a step that overflows, is the spec's fault
         if not all(map(math.isfinite, [lo, hi] + values)):
             raise UsageError(f"--grid {name}: {spec!r} has a value that is not finite")
-        grid[name.strip()] = values
+        grid[name] = values
     if not grid:
         raise UsageError("sweep needs at least one --grid NAME=lo:hi:count")
     return grid

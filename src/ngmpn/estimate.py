@@ -234,10 +234,8 @@ def converged_run(m: PetriModel, res: NgmResult, config: SweepConfig) -> Traject
         raise EstimateError("max_t too small for a single chunk")
     if last.times[0] == 0.0:
         return last
-    return Trajectory(last.places, (0.0,) + last.times,
-                      (start,) + last.markings,
-                      clipping_events=clips,
-                      metadata=dict(last.metadata))
+    return last._replace(times=(0.0,) + last.times, markings=(start,) + last.markings,
+                         clipping_events=clips)
 
 
 def _check_inputs(m: PetriModel, config: SweepConfig, points) -> list:

@@ -176,6 +176,15 @@ def mul_(factors) -> Expr:
 
 # ---------------------------------------------------------------- parsing
 
+# the largest tree parse_expr accepts, in levels and in nodes. The recursive
+# walkers (simplify, diff, codegen's emitter) and Python's compiler of the
+# generated code all survived trees about four times deeper on the default
+# recursion limit; the zoo's deepest expression has 8 levels and its largest
+# 37 nodes. The derivatives of a product cost about the square of its
+# factors: r0 on a weight of MAX_NODES nodes ends within about a second.
+MAX_DEPTH = 32
+MAX_NODES = 256
+
 # one token: a number, a name, an operator or bracket, or a stray character;
 # trailing whitespace makes no token
 _TOKEN_RE = re.compile(
@@ -211,6 +220,8 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0      # unary calls under way
+        self.leaves = 0     # numbers and names in the tree so far
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -270,21 +281,29 @@ class _Parser:
         return e
 
     def unary(self) -> Expr:
-        kind, val, _ = self.peek()
+        # every recursion of the parser passes here: a bracket, a '-' or an
+        # exponent nests one level deeper
+        kind, val, off = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH} levels", off)
         if kind == "op" and val == "-":
             self.i += 1
-            inner = self.unary()
-            if isinstance(inner, Constant):
-                return Constant(-inner.value)
-            return Neg(inner)
-        return self.power()
+            e = self.unary()
+            e = Constant(-e.value) if isinstance(e, Constant) else Neg(e)
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
         kind, val, off = self.peek()
         if kind == "op" and val == "^":
             self.i += 1
+            leaves = self.leaves    # the exponent becomes a float, not nodes
             exp_tree = self.unary()
+            self.leaves = leaves
             names = free_symbols(exp_tree)
             if names:
                 raise ExprSyntaxError(
@@ -297,6 +316,13 @@ class _Parser:
 
     def atom(self) -> Expr:
         kind, val, off = self.take()
+        if kind in ("num", "name"):
+            # a leaf; stop a long product or sum here, before extending it
+            # factor by factor (each extension copies the tuple) costs more
+            # than a tree within the bound
+            self.leaves += 1
+            if self.leaves > MAX_NODES:
+                raise ExprSyntaxError(f"more than {MAX_NODES} nodes", off)
         if kind == "num":
             value = float(val)
             if not math.isfinite(value):
@@ -313,11 +339,39 @@ class _Parser:
 
 def parse_expr(text: str) -> Expr:
     """Parse text into an expression tree. Raises ExprSyntaxError with a byte
-    offset on malformed input."""
+    offset on malformed input, and on a tree of more than MAX_DEPTH levels or
+    MAX_NODES nodes."""
     if not text.isascii():
         bad = next(i for i, c in enumerate(text) if not c.isascii())
         raise ExprSyntaxError("non-ASCII input", bad)
-    return _Parser(text).parse()
+    e = _Parser(text).parse()
+    # the tree level by level: a left-nested quotient chain, a/b/c/..., is
+    # deep without any bracket
+    level, depth, nodes = [e], 0, 0
+    while level:
+        depth += 1
+        nodes += len(level)
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH} levels", 0)
+        if nodes > MAX_NODES:
+            raise ExprSyntaxError(f"more than {MAX_NODES} nodes", 0)
+        level = [c for n in level for c in _children(n)]
+    return e
+
+
+def _children(e: Expr) -> tuple:
+    kind = type(e)
+    if kind is Add:
+        return e.terms
+    if kind is Mul:
+        return e.factors
+    if kind is Div:
+        return e.num, e.den
+    if kind is Neg:
+        return (e.arg,)
+    if kind is Pow:
+        return (e.base,)
+    return ()
 
 
 # ---------------------------------------------------------------- printing

@@ -116,17 +116,14 @@ def _two_patch_block(p: dict) -> float:
 def oracle_r0(entry: ZooEntry, params: dict | None = None) -> float:
     """Reference reproduction number from the entry's closed form.
 
-    Evaluates parameter expressions directly; never touches the net or the
-    matrix pipeline. Raises ZooError for entries without a closed form.
+    Evaluates parameter expressions directly, never the matrix pipeline;
+    params are merged over the defaults as the model merges them. Raises
+    ZooError for entries without a closed form and for params the model
+    refuses.
     """
     if entry.closed_form is None:
         raise ZooError(f"{entry.id} has no closed-form reproduction number")
-    values = entry.defaults()
-    if params:
-        for k, v in params.items():
-            if k not in values:
-                raise ZooError(f"unknown parameter {k!r} for {entry.id}")
-            values[k] = float(v)
+    values = builtin(entry.id).merged_params(params, ZooError)
     if entry.closed_form == "@two_patch_block":
         return _two_patch_block(values)
     return eval_expr(parse_expr(entry.closed_form), values)

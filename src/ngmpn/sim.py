@@ -7,7 +7,8 @@ current marking, and clips at zero: a place that would go negative is set to
 keep their full inflows. A clipped step therefore creates tokens: an S -> I
 transfer of weight 2*S, stepped with dt=1 from (S, I) = (10, 0), gives
 (0, 20). This is forward Euler whenever nothing clips. A run that would take
-more than MAX_STEPS steps raises SimError before it starts.
+more than MAX_STEPS steps raises SimError before it starts, and a run whose
+marking turns infinite or NaN raises it at the end.
 
 Stochastic nets fire one transition at a time (Gillespie's direct method):
 each enabled transition's rate is its propensity, waiting times are
@@ -44,6 +45,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .codegen import (assignments, call, emit, generated, per_model, symbol_table,
                       targets)
@@ -56,26 +59,17 @@ class SimError(NgmpnError):
     pass
 
 
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled times and markings of one run."""
-
-    __slots__ = ("places", "times", "markings", "clipping_events", "rng_seed",
-                 "metadata")
-
-    def __init__(self, places: tuple, times: tuple, markings: tuple,
-                 clipping_events: int = 0, rng_seed: int | None = None,
-                 metadata: dict | None = None):
-        self.places = places        # place names, column order of markings
-        self.times = times
-        self.markings = markings    # tuple of marking tuples, aligned with times
-        self.clipping_events = clipping_events  # vapn: number of clipped place-steps
-        self.rng_seed = rng_seed
-        # each trajectory owns its metadata: run_spn_replicates adds to it
-        self.metadata = {} if metadata is None else metadata
-
-    def __repr__(self):
-        return "Trajectory(" + ", ".join(f"{k}={getattr(self, k)!r}"
-                                         for k in self.__slots__) + ")"
+    places: tuple                   # place names, column order of markings
+    times: tuple
+    markings: tuple                 # tuple of marking tuples, aligned with times
+    clipping_events: int = 0        # vapn: number of clipped place-steps
+    rng_seed: int | None = None
+    # read-only by default, since every trajectory made without metadata
+    # shares it; the simulators give each run a dict of its own, which
+    # run_spn_replicates adds to
+    metadata: dict = MappingProxyType({})
 
     def column(self, place: str):
         if place not in self.places:
@@ -193,36 +187,21 @@ def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0, _p):
     return generated(src, f"vapn stepper {m.name}")["_run"]
 
 
-def _check_dt(dt):
-    """Refuse a step that is not positive and finite."""
-    if not 0 < dt < math.inf:
-        raise SimError(f"dt must be positive and finite, got {dt!r}")
-
-
-def _one_step(m: PetriModel, runner, marking, dt: float, p):
-    """(new marking, clips) after one Euler step of the generated loop;
-    with _every = 2 > _nsteps = 1 it records no sample."""
-    return call(m, SimError, runner, marking, 1, dt, 2, None, None, 0.0, p)
-
-
 def step_vapn(m: PetriModel, marking, dt: float, params=None):
     """One synchronous update of all places; returns the new marking."""
-    _check_dt(dt)
-    p = _param_values(m, params)
-    runner = per_model(m, _build_vapn)
-    new, _clips = _one_step(m, runner, _marking(m, marking), dt, p)
-    return new
+    return run_vapn(m, dt, dt=dt, params=params, marking0=marking).final()
 
 
 def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
              marking0=None, t0: float = 0.0, sample_every: int = 1) -> Trajectory:
-    """Repeated step_vapn from the initial (or given) marking.
+    """Euler steps of size dt from the initial (or given) marking.
 
     Records every sample_every-th step plus the final state. A trailing
     partial step covers t_end when it is not a multiple of dt, so a run with
     t_end > t0 ends at t_end however large dt is.
     """
-    _check_dt(dt)
+    if not 0 < dt < math.inf:
+        raise SimError(f"dt must be positive and finite, got {dt!r}")
     if not isinstance(sample_every, numbers.Integral) or sample_every < 1:
         raise SimError(f"sample_every must be an integer >= 1, got {sample_every!r}")
     span = t_end - t0
@@ -249,9 +228,16 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
     # a remainder within rounding of a whole step is no step; with no whole
     # step (dt > span) the remainder is the span, and always stepped
     if remainder > 1e-9 * min(dt, span):
-        final, c2 = _one_step(m, runner, final, remainder, p)
+        # one step of the loop; with _every = 2 > _nsteps = 1 it records no sample
+        final, c2 = call(m, SimError, runner, final, 1, remainder, 2, None, None, 0.0, p)
         clips += c2
         t = t_end
+    # a place that is not finite stays so (only -inf is clipped, and counted),
+    # so the final marking shows whether any step overflowed
+    for place, v in zip(m.places, final):
+        if not math.isfinite(v):
+            raise SimError(f"model {m.name}: the marking of place {place.name!r} "
+                           f"is {v} at t={t:.6g}; the run overflowed")
     if times[-1] != t:
         times.append(t)
         markings.append(final)
@@ -350,8 +336,10 @@ def _run(_mk, _p, _pairs, _tend, _sdt, _tapp, _mapp):
         return SimError(f"model {model_name}: time stopped advancing at t={t:.6g}, "
                         f"where the total propensity is {a0:.6g}")
 
-    return generated(src, f"spn run {m.name}", _log=math.log, _isfinite=math.isfinite,
-                      _negative=negative, _stalled=stalled)["_run"]
+    run = generated(src, f"spn run {m.name}", _log=math.log, _isfinite=math.isfinite,
+                    _negative=negative, _stalled=stalled)["_run"]
+    # the most tokens one event adds to the total, for _check_counts
+    return run, max([0] + [sum(delta.values()) for delta in deltas])
 
 
 def _uniforms(rng):
@@ -389,13 +377,11 @@ def _counts(m: PetriModel, marking) -> tuple:
     return tuple(map(int, marking))
 
 
-def _check_counts(m: PetriModel, marking):
+def _check_counts(marking, gain: int):
     """Refuse a run whose token counts could pass 2**53, past which floats do
     not count exactly. No count exceeds the total, which starts at
-    sum(marking) and gains at most the largest net output of one
+    sum(marking) and gains at most `gain`, the largest net output of one
     transition, in each of at most MAX_EVENTS events."""
-    gain = max([0] + [sum(a.mult for a in m.outputs_of(t.name))
-                      - sum(a.mult for a in m.inputs_of(t.name)) for t in m.transitions])
     start = sum(marking)
     if start + MAX_EVENTS * gain > 2**53:
         raise SimError(f"token counts could reach {start + MAX_EVENTS * gain}, more "
@@ -420,12 +406,12 @@ def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
         raise SimError("sample_dt must be positive")
     _check_samples(t_end / sample_dt)
     p = _param_values(m, params)
-    runner = per_model(m, _build_spn)
+    runner, gain = per_model(m, _build_spn)
     seed = _seed(seed)
     import numpy as np
     rng = np.random.default_rng(seed)
     marking = _counts(m, marking0 if marking0 is not None else m.initial_marking())
-    _check_counts(m, marking)
+    _check_counts(marking, gain)
 
     times = [0.0]
     markings = [marking]

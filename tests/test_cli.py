@@ -381,6 +381,24 @@ NETS = {
     "init_inf_spn": sir_net("spn", s_init="inf"),
     "init_nan_spn": sir_net("spn", s_init="nan"),
     "count_bound_spn": sir_net("spn", s_init=2**53),
+    # beyond expr.MAX_DEPTH or expr.MAX_NODES; unbounded, the parser's or
+    # diff's recursion overflows the stack, and the derivatives of a product
+    # cost about the square of its factors
+    "expr_nested_brackets": sir_net(incidence="(" * 200 + "beta*S*I/N" + ")" * 200),
+    "expr_quotient_chain": sir_net(incidence="beta*S*I" + "/N" * 199),
+    "expr_oversized_product": sir_net(incidence="beta*S*I/N" + "*1" * 1000),
+    # dX/dt = X^3 from X = 5: the Euler run passes 1e308 at t = 0.7
+    "vapn_overflow": """\
+model blowup kind=vapn
+param a=2
+place X init=5 infected
+place R init=0
+trans grow
+trans leave
+arc grow -> X weight="a*X*X*X"
+arc X -> leave weight="X*X*X"
+arc leave -> R weight="X*X*X"
+""",
 }
 
 # (argv with {dir} and {net} placeholders, exit code); each must end in one
@@ -395,8 +413,13 @@ ERROR_CASES = {
     "divzero_vapn": (["simulate", "{net}", "--t-end", "1"], 1),
     "divzero_spn": (["simulate", "{net}", "--t-end", "1", "--seed", "1"], 1),
     "complex_power": (["simulate", "{net}", "--t-end", "1"], 1),
+    # a marking that turns inf or nan ends the run, not a CSV of nan rows
+    "vapn_overflow": (["simulate", "{net}", "--t-end", "1", "--dt", "0.1"], 1),
     "infinite_exponent": (["r0", "{net}"], 2),
     "infinite_number": (["simulate", "{net}", "--t-end", "1"], 2),
+    "expr_nested_brackets": (["r0", "{net}"], 2),
+    "expr_quotient_chain": (["r0", "{net}"], 2),
+    "expr_oversized_product": (["r0", "{net}"], 2),
     # a malformed model file is a usage error, found before any computation
     "unterminated_quote": (["r0", "{net}"], 2),
     "infected_transition": (["simulate", "{net}", "--t-end", "1"], 2),
@@ -462,6 +485,9 @@ ERROR_CASES = {
     "grid_step_overflows": (["sweep", "--builtin", "sirs", "--grid", "beta=-1e308:1e308:3",
                              "-p", "delta=0"], 2),
     "grid_without_equals": (["sweep", "--builtin", "sirs", "--grid", "beta"], 2),
+    # a later spec of the same name would silently replace the first
+    "grid_name_repeated": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.4:2",
+                            "--grid", " beta =0.5:0.5:1", "-p", "delta=0"], 2),
     "grid_bound_not_a_number": (["sweep", "--builtin", "sirs", "--grid", "beta=low:0.3:2",
                                  "-p", "delta=0"], 2),
 }

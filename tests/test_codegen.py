@@ -226,7 +226,8 @@ def test_vapn_step_matches_eval_expr(e, marking, params):
     def step():
         """The compiled step past step_vapn's check of the marking: inside a
         run, places take whatever values the arithmetic gives."""
-        return sim._one_step(m, runner, marking, 0.5, sim._param_values(m, p))[0]
+        return call(m, SimError, runner, marking, 1, 0.5, 2, None, None, 0.0,
+                    sim._param_values(m, p))[0]
 
     want = reference([m.arcs[0].weight], {"S": s, "I": i, "N": s + i, **p})
     if want is None:

@@ -287,11 +287,11 @@ def test_sweep_records_per_point_failures():
 
 
 def test_records_share_no_mutable_default():
-    # run_spn_replicates adds to a trajectory's metadata; a config made
-    # without overrides cannot change those of another
-    a, b = Trajectory(("S",), (0.0,), ((1.0,),)), Trajectory(("S",), (0.0,), ((1.0,),))
-    a.metadata["replicate"] = 0
-    assert b.metadata == {}
+    # a trajectory made without metadata cannot change that of another, and
+    # a config made without overrides cannot change those of another
+    with pytest.raises(TypeError):
+        Trajectory(("S",), (0.0,), ((1.0,),)).metadata["replicate"] = 0
+    assert Trajectory(("S",), (0.0,), ((1.0,),)).metadata == {}
     with pytest.raises(TypeError):
         SweepConfig().overrides["delta"] = 0.0
     assert SweepConfig().overrides == {}

@@ -225,6 +225,23 @@ def test_stray_character_named_at_its_offset(text, offset):
     assert err.value.offset == offset
 
 
+# (text within the bound, text one past it, what the error says); MAX_DEPTH
+# is 32 levels and MAX_NODES 256 nodes
+@pytest.mark.parametrize("inside,outside,message", [
+    ("x" + "/x" * 31, "x" + "/x" * 32, "nested deeper than 32"),       # no bracket
+    ("(" * 31 + "x" + ")" * 31, "(" * 32 + "x" + ")" * 32, "nested deeper than 32"),
+    ("-" * 31 + "x", "-" * 32 + "x", "nested deeper than 32"),
+    ("x" + "*x" * 254, "x" + "*x" * 255, "more than 256 nodes"),          # leaves + Mul
+    ("x" + "*-x" * 127, "x" + "*-x" * 128, "more than 256 nodes"),        # Negs count
+    ("x" + "*x^2" * 127, "x" + "*x^2" * 128, "more than 256 nodes"),      # exponents don't
+    ("x", "x" + "+x" * 100000, "more than 256 nodes"),   # refused at the 257th leaf
+])
+def test_expression_size_is_bounded(inside, outside, message):
+    parse_expr(inside)
+    with pytest.raises(ExprSyntaxError, match=message):
+        parse_expr(outside)
+
+
 def test_trailing_whitespace_is_no_token():
     assert parse_expr("S*I  ") == Mul((Symbol("S"), Symbol("I")))
 

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 
@@ -100,3 +101,7 @@ def test_oracle_validates_params():
         oracle_r0(zoo_entry("sirs"), {"zeta": 1.0})
     with pytest.raises(ZooError):
         oracle_r0(zoo_entry("sirs_spn"))   # no closed form on the spn twin
+    # a value that is not a finite number is refused, as the model refuses it
+    for value in ["abc", None, math.nan]:
+        with pytest.raises(ZooError, match="parameter beta"):
+            oracle_r0(zoo_entry("sirs"), {"beta": value})

@@ -245,6 +245,36 @@ arc I -> out weight="mu*I"
     assert status["A4"] == "violated"
 
 
+A3_NET = """\
+model leak kind=vapn
+param b=0.002
+param g=0.1
+place S init=99
+place I init=1 infected
+place R init=0
+trans infect
+trans recover
+arc S -> infect weight="b*S*I"
+arc infect -> I weight="b*S*I"
+arc infect -> R weight="GAIN"
+arc I -> recover weight="g*I"
+arc recover -> R weight="g*I"
+"""
+
+
+def test_assumption_a3_infection_feeding_a_non_infected_place():
+    # the surplus b*S*I is no constant, so its sign is sampled
+    findings = validate_assumptions(parse_model(A3_NET.replace("GAIN", "b*S*I")))
+    a3, = [f for f in findings if f.code == "A3"]
+    assert a3.status == "violated"
+    assert a3.detail == "infect adds b*S*I to non-infected places"
+    # what it adds to R it also takes from I: the sampled surplus is negative
+    text = A3_NET.replace("GAIN", "0.5*b*S*I").replace(
+        "arc S -> infect", 'arc I -> infect weight="b*S*I"\narc S -> infect')
+    findings = validate_assumptions(parse_model(text))
+    assert [f.status for f in findings if f.code == "A3"] == ["satisfied"]
+
+
 def test_finding_as_dict():
     f = validate_assumptions(parse_model(SIRS))[0]
     d = f.as_dict()

@@ -701,6 +701,32 @@ def test_rate_arithmetic_failure_is_sim_error(rate):
         run_spn(m, 1.0, seed=1)
 
 
+BLOWUP = """\
+model blowup kind=vapn
+param a=2
+place X init=5 infected
+place R init=0
+trans grow
+trans leave
+arc grow -> X weight="a*X*X*X"
+arc X -> leave weight="X*X*X"
+arc leave -> R weight="X*X*X"
+"""
+
+
+def test_marking_that_overflows_is_sim_error():
+    # dX/dt = X^3 from X = 5: the Euler run passes 1e308 at t = 0.7, where X
+    # turns nan (inf - inf), and a place that is not finite stays so
+    m = parse_model(BLOWUP)
+    with pytest.raises(SimError, match="blowup: the marking of place 'X' is nan at t=1"):
+        run_vapn(m, 1.0, dt=0.1)
+    with pytest.raises(SimError, match="'X' is nan at t=0.5"):
+        step_vapn(m, (1e200, 0.0), 0.5)
+    # R alone overflows to inf when X is large but finite
+    with pytest.raises(SimError, match="'R' is inf at t=1"):
+        step_vapn(m, (1e102, 1.797e308), 1.0, {"a": 1.0})
+
+
 def test_single_place_net_steps_and_runs():
     m = parse_model("""\
 model one kind=vapn
