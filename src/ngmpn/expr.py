@@ -181,7 +181,8 @@ def mul_(factors) -> Expr:
 # generated code all survived trees about four times deeper on the default
 # recursion limit; the zoo's deepest expression has 8 levels and its largest
 # 37 nodes. The derivatives of a product cost about the square of its
-# factors: r0 on a weight of MAX_NODES nodes ends within about a second.
+# factors: r0 on a product of MAX_NODES nodes ends within about a second
+# (0.6 s for factors of N on a 3-place net, one x86-64 core).
 MAX_DEPTH = 32
 MAX_NODES = 256
 
