@@ -12,6 +12,12 @@ to, and hashes like, a node of the same class whose fields compare equal as
 a tuple, and its repr is its class name with its fields. Each node class
 declares only its fields (``__slots__``) and its constructor.
 
+Code that only traverses or maps subtrees (``free_symbols``, ``substitute``,
+flattening, the linear rules of ``diff``, ``parse_expr``'s size bound) reads
+them through ``_children`` and rebuilds a node through ``_rebuild``; walkers
+whose rule differs per kind (``simplify``, ``eval_expr``, ``to_text``) read
+the fields themselves.
+
 There is one node for sums: subtraction is an ``Add`` whose subtracted term
 is a ``Neg``, so ``a - b - c`` parses to ``Add((a, Neg(b), Neg(c)))``.
 
@@ -145,33 +151,55 @@ class Neg(Expr):
         _set(self, "arg", arg)
 
 
+def _children(e: Expr) -> tuple:
+    """The subtrees of a node in field order; () for a leaf."""
+    kind = type(e)
+    if kind is Add:
+        return e.terms
+    if kind is Mul:
+        return e.factors
+    if kind is Div:
+        return e.num, e.den
+    if kind is Neg:
+        return (e.arg,)
+    if kind is Pow:
+        return (e.base,)
+    if kind is Constant or kind is Symbol:
+        return ()
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _rebuild(e: Expr, children) -> Expr:
+    """A node of e's class and non-subtree fields over the given subtrees,
+    ordered as _children gives them; a leaf is returned as it is."""
+    kind = type(e)
+    if kind is Add or kind is Mul:
+        return kind(tuple(children))
+    if kind is Pow:
+        return Pow(*children, e.exponent)
+    return kind(*children) if children else e
+
+
 def add_(terms) -> Expr:
     """Add with flattening; empty -> 0, singleton -> the term itself."""
-    flat = []
-    for t in terms:
-        if isinstance(t, Add):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    if not flat:
-        return Constant(0.0)
-    if len(flat) == 1:
-        return flat[0]
-    return Add(tuple(flat))
+    return _flat(Add, terms, 0.0)
 
 
 def mul_(factors) -> Expr:
+    """Mul with flattening; empty -> 1, singleton -> the factor itself."""
+    return _flat(Mul, factors, 1.0)
+
+
+def _flat(kind, items, empty: float) -> Expr:
     flat = []
-    for f in factors:
-        if isinstance(f, Mul):
-            flat.extend(f.factors)
+    for t in items:
+        if type(t) is kind:
+            flat.extend(_children(t))
         else:
-            flat.append(f)
+            flat.append(t)
     if not flat:
-        return Constant(1.0)
-    if len(flat) == 1:
-        return flat[0]
-    return Mul(tuple(flat))
+        return Constant(empty)
+    return flat[0] if len(flat) == 1 else kind(tuple(flat))
 
 
 # ---------------------------------------------------------------- parsing
@@ -275,11 +303,7 @@ class _Parser:
                 e = Div(e, self.unary())
             else:
                 break
-        if negate:
-            if isinstance(e, Constant):
-                return Constant(-e.value)
-            return Neg(e)
-        return e
+        return _negate(e) if negate else e
 
     def unary(self) -> Expr:
         # every recursion of the parser passes here: a bracket, a '-' or an
@@ -290,8 +314,7 @@ class _Parser:
             raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH} levels", off)
         if kind == "op" and val == "-":
             self.i += 1
-            e = self.unary()
-            e = Constant(-e.value) if isinstance(e, Constant) else Neg(e)
+            e = _negate(self.unary())
         else:
             e = self.power()
         self.depth -= 1
@@ -338,6 +361,10 @@ class _Parser:
         raise ExprSyntaxError("expected a number, symbol or '('", off)
 
 
+def _negate(e: Expr) -> Expr:
+    return Constant(-e.value) if isinstance(e, Constant) else Neg(e)
+
+
 def parse_expr(text: str) -> Expr:
     """Parse text into an expression tree. Raises ExprSyntaxError with a byte
     offset on malformed input, and on a tree of more than MAX_DEPTH levels or
@@ -358,21 +385,6 @@ def parse_expr(text: str) -> Expr:
             raise ExprSyntaxError(f"more than {MAX_NODES} nodes", 0)
         level = [c for n in level for c in _children(n)]
     return e
-
-
-def _children(e: Expr) -> tuple:
-    kind = type(e)
-    if kind is Add:
-        return e.terms
-    if kind is Mul:
-        return e.factors
-    if kind is Div:
-        return e.num, e.den
-    if kind is Neg:
-        return (e.arg,)
-    if kind is Pow:
-        return (e.base,)
-    return ()
 
 
 # ---------------------------------------------------------------- printing
@@ -410,16 +422,17 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Symbol):
         return e.name
     if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _prec(e.arg) < 1.5)
+        # a '-' after a '-' negates only the next power, so "--a*b" would
+        # reparse as -((-a)*b): a negation keeps its brackets here
+        return "-" + _wrap(e.arg, _prec(e.arg) <= 1.5)
     if isinstance(e, Add):
         parts = [_wrap(e.terms[0], _prec(e.terms[0]) < 1.0)]
         # a later term that is a sum keeps its brackets, so that it reparses
-        # as one term: the parser extends only a sum on the left
+        # as one term: the parser extends only a sum on the left. A negative
+        # constant prints as "+ -3", since "- 3" reparses as a Neg of 3
         for t in e.terms[1:]:
             if isinstance(t, Neg):
                 parts.append("- " + _wrap(t.arg, _prec(t.arg) <= 1.0))
-            elif isinstance(t, Constant) and t.value < 0:
-                parts.append("- " + _fmt_number(-t.value))
             else:
                 parts.append("+ " + _wrap(t, _prec(t) <= 1.0))
         return " ".join(parts)
@@ -479,46 +492,22 @@ def eval_expr(e: Expr, bindings: dict) -> float:
 
 
 def free_symbols(e: Expr) -> set:
-    if isinstance(e, Symbol):
-        return {e.name}
-    if isinstance(e, (Constant,)):
-        return set()
-    if isinstance(e, Add):
-        out = set()
-        for t in e.terms:
-            out |= free_symbols(t)
-        return out
-    if isinstance(e, Mul):
-        out = set()
-        for f in e.factors:
-            out |= free_symbols(f)
-        return out
-    if isinstance(e, Div):
-        return free_symbols(e.num) | free_symbols(e.den)
-    if isinstance(e, Neg):
-        return free_symbols(e.arg)
-    if isinstance(e, Pow):
-        return free_symbols(e.base)
-    raise TypeError(f"not an expression node: {e!r}")
+    """The names of the symbols in e."""
+    names, stack = set(), [e]
+    while stack:
+        e = stack.pop()
+        if type(e) is Symbol:
+            names.add(e.name)
+        else:
+            stack.extend(_children(e))
+    return names
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:
     """Replace symbols by expressions (no simplification)."""
-    if isinstance(e, Symbol):
+    if type(e) is Symbol:
         return mapping.get(e.name, e)
-    if isinstance(e, Constant):
-        return e
-    if isinstance(e, Add):
-        return Add(tuple(substitute(t, mapping) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(tuple(substitute(f, mapping) for f in e.factors))
-    if isinstance(e, Div):
-        return Div(substitute(e.num, mapping), substitute(e.den, mapping))
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, mapping))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, mapping), e.exponent)
-    raise TypeError(f"not an expression node: {e!r}")
+    return _rebuild(e, [substitute(c, mapping) for c in _children(e)])
 
 
 # ---------------------------------------------------------------- calculus
@@ -533,10 +522,8 @@ def _d(e: Expr, x: str) -> Expr:
         return Constant(0.0)
     if isinstance(e, Symbol):
         return Constant(1.0 if e.name == x else 0.0)
-    if isinstance(e, Add):
-        return Add(tuple(_d(t, x) for t in e.terms))
-    if isinstance(e, Neg):
-        return Neg(_d(e.arg, x))
+    if isinstance(e, (Add, Neg)):     # linear: the derivative of each subtree
+        return _rebuild(e, [_d(c, x) for c in _children(e)])
     if isinstance(e, Mul):
         terms = []
         fs = e.factors

@@ -40,14 +40,17 @@ def mat_copy(a):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0.0] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for t in range(k):
-                s += a[i][t] * b[t][j]
-            out[i][j] = s
+    """The product a b, row by row. When b is finite, zero entries of a are
+    skipped: each sum starts at +0.0 and so is never -0.0, and adding a
+    signed zero to it changes no bit. Otherwise 0*inf gives NaN, as it must."""
+    finite = all(map(math.isfinite, chain.from_iterable(b)))
+    out = []
+    for row in a:
+        acc = [0.0] * len(b[0])
+        for v, brow in zip(row, b):
+            if v != 0.0 or not finite:
+                acc = [s + v * x for s, x in zip(acc, brow)]
+        out.append(acc)
     return out
 
 

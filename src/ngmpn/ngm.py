@@ -48,7 +48,7 @@ from .errors import NgmpnError
 from .codegen import (assignments, call, emit, generated, per_model, symbol_table,
                       targets)
 from .expr import (Expr, ExprError, Symbol, Constant, Add, Neg, add_, simplify,
-                   substitute, diff, eval_expr, parse_expr)
+                   substitute, diff, eval_expr, free_symbols, parse_expr)
 from .petri import (PetriModel, Finding, RESERVED_TOTAL, _arc_term, net_flow,
                     classify_transitions, validate_assumptions)
 
@@ -65,8 +65,17 @@ class NgmError(NgmpnError):
     pass
 
 
+class Drift(NamedTuple):
+    """Why a DFE solve stalled where no equilibrium exists: y^T J = 0 for
+    the flow Jacobian J there, so no step changes y^T f, while y^T f is not
+    zero. Where J is constant, as with linear flows, the weighted sum of the
+    places' values with weights y changes at `rate` everywhere."""
+    places: dict    # each drifting place and its weight; the largest is 1
+    rate: float     # y^T f, tokens per unit time
+
+
 class DfeError(NgmError):
-    pass
+    drift = None    # a Drift when Newton stalled because no DFE exists
 
 
 class DfeResult(NamedTuple):
@@ -127,7 +136,22 @@ def _expand_total(m: PetriModel, e: Expr) -> Expr:
 
 
 def _jacobian(rows, names) -> tuple:
-    return tuple(tuple(diff(row, x) for x in names) for row in rows)
+    """The derivative of each row by each name. A row is differentiated once
+    for all the names it lacks: expr._d reads the name only to compare it
+    with a Symbol's, so each of those derivatives is the same tree."""
+    jac = []
+    for row in rows:
+        present, lacking = free_symbols(row), None
+        cells = []
+        for x in names:
+            if x in present:
+                cells.append(diff(row, x))
+            else:
+                if lacking is None:
+                    lacking = diff(row, x)
+                cells.append(lacking)
+        jac.append(tuple(cells))
+    return tuple(jac)
 
 
 def _derive(m: PetriModel) -> _ModelWork:
@@ -136,7 +160,8 @@ def _derive(m: PetriModel) -> _ModelWork:
     script_f, script_v = _split(m, classify_transitions(m))
     infected = m.infected_places()
     f_rows = [_expand_total(m, e) for e in script_f]
-    v_rows = [_expand_total(m, add_(list(row))) for row in script_v]
+    v_rows = [_expand_total(m, add_([c for c in row if c != Constant(0.0)]))
+              for row in script_v]
     findings = tuple(f for f in validate_assumptions(m) if f.code != "A5")
     zero = {name: Constant(0.0) for name in infected}
     dfe_places = tuple(p.name for p in m.places if not p.infected)
@@ -290,7 +315,10 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
                 step = None
                 break
         else:
-            raise DfeError(f"Newton stalled at residual {res:.3g}")
+            err = DfeError(f"Newton stalled at residual {res:.3g}")
+            n = len(w.dfe_places)
+            err.drift = _drift(w.dfe_places, f[:n], scale, jac[:n])
+            raise err
     else:
         raise DfeError(f"did not converge within {DFE_MAX_ITER} iterations "
                        f"(residual {res:.3g})")
@@ -313,6 +341,27 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
     marking = {**dict(zip(unknowns, u)), **pinned}
     return DfeResult(tuple(marking.get(p.name, 0.0) for p in m.places),
                      method, residual, tuple(notes), tuple(bound.values()))
+
+
+def _drift(places, f, scale, jac):
+    """A Drift from the flows f, their scale and their Jacobian jac over the
+    unknowns, or None. Each flow whose column of jac^T has no pivot gives a
+    left null vector y of jac, its own weight 1 and the pivot flows' weights
+    solving jac^T y = 0; the first y whose y^T f exceeds DFE_TOL times the
+    flow scale is the drift."""
+    jt = [list(col) for col in zip(*jac)]
+    _, _, pivots = linalg.basic_solution(jt, [0.0] * len(jt))
+    for c in range(len(f)):
+        if c in pivots:
+            continue
+        y, _, _ = linalg.basic_solution(jt, [-row[c] for row in jt])
+        y[c] = 1.0
+        top = max(y, key=abs)
+        y = [v / top for v in y]
+        rate = sum(a * b for a, b in zip(y, f))
+        if abs(rate) > DFE_TOL * scale:
+            return Drift({p: v for p, v in zip(places, y) if v != 0.0}, rate)
+    return None
 
 
 # --------------------------------------------------- script F and script V

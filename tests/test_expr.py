@@ -3,12 +3,12 @@ import math
 import pickle
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from ngmpn.expr import (Add, Constant, Div, EvalError, ExprSyntaxError, Mul,
-                        Neg, Pow, Symbol, UnboundSymbolError, diff,
-                        eval_expr, free_symbols, parse_expr, simplify,
+from ngmpn.expr import (Add, Constant, Div, EvalError, ExprError, ExprSyntaxError,
+                        Mul, Neg, Pow, Symbol, UnboundSymbolError, _tokenize,
+                        diff, eval_expr, free_symbols, parse_expr, simplify,
                         substitute, to_text)
 
 NAMES = ["S", "I", "beta", "gamma", "N", "x", "y"]
@@ -165,6 +165,46 @@ def test_reparse_preserves_value(e, b):
         return
     v2 = eval_expr(parse_expr(to_text(e)), b)
     assert v2 == pytest.approx(v, rel=1e-12, abs=1e-12)
+
+
+# expression text in the parser's grammar: names, numbers in each written
+# form, the four operators with or without spaces, unary minus, brackets and
+# numeric exponents
+NUMBERS = st.one_of(st.sampled_from(["0", "2", "3.", ".5", "0.25", "1e3", "2.5E-2",
+                                     "12345678901234567"]),
+                    st.floats(min_value=0.0, max_value=1e300).map(repr))
+EXPONENTS = st.one_of(NUMBERS, NUMBERS.map("-{}".format),
+                      st.tuples(NUMBERS, NUMBERS).map("({0[0]}/{0[1]})".format))
+SPACE = st.sampled_from(["", " "])
+
+
+def expr_texts():
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, SPACE, st.sampled_from("+-*/"), SPACE, inner).map("".join),
+            inner.map("-{}".format),
+            inner.map("({})".format),
+            st.tuples(inner, EXPONENTS).map("{0[0]}^{0[1]}".format))
+    return st.recursive(st.one_of(st.sampled_from(NAMES), NUMBERS), extend,
+                        max_leaves=24)
+
+
+# regressions of printing: a negative constant as a later term printed as
+# "- 3", which reparsed as a Neg of 3; a negated negative product printed as
+# "--S*S", which reparsed as a product with a negated factor
+@given(expr_texts())
+@example("a + -3")
+@example("--(S*S)")
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+def test_walkers_on_parsed_trees(text):
+    try:
+        e = parse_expr(text)        # within MAX_DEPTH and MAX_NODES
+    except ExprError:
+        reject()
+    assert substitute(e, {}) == e
+    printed = to_text(e)
+    assert free_symbols(e) == {v for kind, v, _ in _tokenize(printed) if kind == "name"}
+    assert parse_expr(printed) == e
 
 
 @pytest.mark.parametrize("text,value", [

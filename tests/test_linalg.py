@@ -42,6 +42,40 @@ def test_mat_mul():
     assert mat_mul(a, b) == [[2.0, 1.0], [4.0, 3.0]]
 
 
+def dense_mat_mul(a, b):
+    out = [[0.0] * len(b[0]) for _ in a]
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            s = 0.0
+            for t, v in enumerate(row):
+                s += v * b[t][j]
+            out[i][j] = s
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mat_mul_skipping_zeros_is_bit_equal_to_the_dense_loop(seed):
+    rng = random.Random(seed)
+    entries = [0.0, -0.0, 1.0, -1.0, 1e-300, -2.5e300]
+
+    def draw(n, m):
+        return [[rng.choice(entries) if rng.random() < 0.5 else rng.uniform(-3, 3)
+                 for _ in range(m)] for _ in range(n)]
+
+    n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+    a, b = draw(n, k), draw(k, m)
+    got, want = mat_mul(a, b), dense_mat_mul(a, b)
+    assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
+
+
+def test_mat_mul_keeps_zero_times_inf():
+    for inf in (math.inf, -math.inf):
+        out = mat_mul([[0.0, 1.0], [-0.0, 0.0]], [[inf, 1.0], [2.0, 3.0]])
+        assert math.isnan(out[0][0]) and math.isnan(out[1][0])
+        assert out[0][1] == 3.0 and out[1][1] == 0.0
+    assert math.isnan(mat_mul([[0.0]], [[math.nan]])[0][0])
+
+
 # ----------------------------------------------------------- basic_solution
 
 def test_basic_solution_full_rank():

@@ -1,13 +1,15 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ngmpn import linalg
-from ngmpn.expr import Constant, Mul, eval_expr, to_text
+from ngmpn import linalg, ngm
+from ngmpn.expr import Constant, Mul, eval_expr, free_symbols, to_text
 from ngmpn.modelzoo import builtin, oracle_r0, zoo_entry, zoo_ids
 from ngmpn.ngm import DfeError, NgmError, compute_dfe, ngm_r0
 from ngmpn.petri import PetriModel, net_flow, parse_model
@@ -117,6 +119,56 @@ def test_dfe_snaps_a_tiny_negative_to_zero():
     assert dfe.method == "newton" and dfe.residual <= 1e-10
 
 
+@pytest.mark.parametrize("mid,params,drift", [
+    # recruitment with no death to balance it: the susceptibles grow at Pi
+    ("seir", {"mu": 0.0}, ({"S": 1.0}, 2.5)),
+    ("vectorborne", {"mu_h": 0.0}, ({"S_h": 1.0}, 5.0)),
+    ("vectorborne", {"mu_v": 0.0}, ({"S_v": 1.0}, 40.0)),
+])
+def test_dfe_stall_says_which_places_drift(mid, params, drift):
+    with pytest.raises(DfeError, match="Newton stalled") as err:
+        compute_dfe(builtin(mid), params=params)
+    assert err.value.drift == drift
+
+
+DRIFT_NET = """model drift kind=vapn
+param Pi = 3
+param a = 0.5
+param b = 0.25
+place S init=100
+place I init=1 infected
+place R init=0
+trans birth
+arc birth -> S weight="Pi"
+trans infect
+arc S -> infect weight="S*I"
+arc infect -> I weight="S*I"
+trans rest
+arc S -> rest weight="a*S"
+arc rest -> R weight="a*S"
+trans back
+arc R -> back weight="b*R"
+arc back -> S weight="b*R"
+trans recover
+arc I -> recover weight="I"
+arc recover -> R weight="I"
+"""
+
+
+def test_dfe_stall_names_a_drifting_sum_of_places():
+    # S and R trade tokens and settle relative to each other, but births
+    # grow their sum at Pi
+    with pytest.raises(DfeError, match="Newton stalled") as err:
+        compute_dfe(parse_model(DRIFT_NET))
+    assert err.value.drift == ({"S": 1.0, "R": 1.0}, 3.0)
+
+
+def test_dfe_error_without_a_stall_carries_no_drift():
+    with pytest.raises(DfeError) as err:
+        compute_dfe(builtin("sirs"), constraints={"S": 5e5, "R": 10.0})
+    assert err.value.drift is None
+
+
 def test_dfe_residual_reported_small_everywhere():
     for mid in ("sirs", "seir", "seeir", "covid", "nonlinear", "patch2",
                 "vectorborne", "sirs_spn", "seir_spn"):
@@ -192,6 +244,35 @@ def test_jacobians_seir_numbers():
     assert res.V == ((pytest.approx(0.27), 0.0),
                      (pytest.approx(-0.25), pytest.approx(0.12)))
     assert res.K[0][0] == pytest.approx(2.411265432098765, rel=1e-12)
+
+
+def scaling_chain(k):
+    """The k-stage chain net of scripts/scaling.py, whose R0 is beta*k/g."""
+    path = Path(__file__).parents[1] / "scripts" / "scaling.py"
+    spec = importlib.util.spec_from_file_location("scaling", path)
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    return scaling.chain(k)
+
+
+def test_derive_differentiates_a_row_once_per_place_it_contains(monkeypatch):
+    # plus once for all the places it lacks, whose derivatives are one tree
+    calls = []
+    real = ngm.diff
+
+    def counted(e, x):
+        calls.append((e, x))
+        return real(e, x)
+
+    monkeypatch.setattr(ngm, "diff", counted)
+    ngm._derive(parse_model(scaling_chain(20)))
+    rows = {}       # by identity: the rows of script F past I1 are equal zeros
+    for e, x in calls:
+        rows.setdefault(id(e), (free_symbols(e), []))[1].append(x)
+    assert len(rows) == 20 + 20 + 2      # script F, script V, DFE flows of S and R
+    for present, names in rows.values():
+        assert len(names) == len(set(names))
+        assert len([x for x in names if x not in present]) <= 1
 
 
 # ------------------------------------------------------------------------ r0
