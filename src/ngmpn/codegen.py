@@ -106,8 +106,6 @@ def _emit(e, names, sums):
             text = "_nan" if v != v else "-_inf" if v < 0 else "_inf"
         return text, _UNARY if text[0] == "-" else _ATOM
     if kind is Mul:
-        if not e.factors:
-            return "1.0", _ATOM
         # left to right: a product or quotient on the right needs brackets
         return "*".join(_wrap(_emit(f, names, sums), _PRODUCT + (i > 0))
                         for i, f in enumerate(e.factors)), _PRODUCT

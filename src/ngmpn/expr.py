@@ -332,7 +332,10 @@ class _Parser:
             if names:
                 raise ExprSyntaxError(
                     f"exponent must be numeric, contains symbol {sorted(names)[0]!r}", off)
-            exponent = eval_expr(exp_tree, {})
+            try:
+                exponent = eval_expr(exp_tree, {})
+            except EvalError as err:
+                raise ExprSyntaxError(f"exponent cannot be evaluated: {err}", off) from None
             if not math.isfinite(exponent):
                 raise ExprSyntaxError(f"exponent is not finite: {exponent!r}", off)
             return Pow(base, exponent)

@@ -35,10 +35,6 @@ class EigenConvergenceError(LinalgError):
     pass
 
 
-def mat_copy(a):
-    return [row[:] for row in a]
-
-
 def mat_mul(a, b):
     """The product a b, row by row. When b is finite, zero entries of a are
     skipped: each sum starts at +0.0 and so is never -0.0, and adding a
@@ -65,6 +61,16 @@ def max_abs(a) -> float:
     return max(map(abs, chain.from_iterable(a)), default=0.0)
 
 
+def _pivot(m, col, first):
+    """The first row from `first` down of largest magnitude in column col, as
+    max() picks it, and that magnitude."""
+    piv, best = first, abs(m[first][col])
+    for r in range(first + 1, len(m)):
+        if abs(m[r][col]) > best:
+            piv, best = r, abs(m[r][col])
+    return piv, best
+
+
 def invert(a):
     """Inverse via Gauss-Jordan on [a | I]; returns (inverse, condition) where
     condition is the 1-norm estimate ||a||_1 * ||a^-1||_1."""
@@ -74,11 +80,7 @@ def invert(a):
         row[n + i] = 1.0
     tiny = 1e-14 * max_abs(a)
     for col in range(n):
-        # the first row of largest magnitude, as max() picks it
-        piv, best = col, abs(m[col][col])
-        for r in range(col + 1, n):
-            if abs(m[r][col]) > best:
-                piv, best = r, abs(m[r][col])
+        piv, best = _pivot(m, col, col)
         if best <= tiny:
             raise SingularMatrixError(f"pivot {col} below tolerance")
         prow = m[piv]
@@ -109,21 +111,15 @@ def basic_solution(a, b):
     m = [row[:] + [b[i]] for i, row in enumerate(a)]
     tol = PIVOT_TOL * max_abs(a)
     pivot_cols = []
-    pivot_rows = []
-    row = 0
     for col in range(ncol):
+        # pivot k sits in row k
+        row = len(pivot_cols)
         if row >= nrow:
             break
-        piv = row
-        best = abs(m[row][col])
-        for r in range(row + 1, nrow):
-            if abs(m[r][col]) > best:
-                best = abs(m[r][col])
-                piv = r
+        piv, best = _pivot(m, col, row)
         if best <= tol:
             continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
+        m[row], m[piv] = m[piv], m[row]
         prow = m[row]
         for r in range(row + 1, nrow):
             f = m[r][col] / prow[col]
@@ -131,11 +127,9 @@ def basic_solution(a, b):
                 for c in range(col, ncol + 1):
                     m[r][c] -= f * prow[c]
         pivot_cols.append(col)
-        pivot_rows.append(row)
-        row += 1
     x = [0.0] * ncol
-    for k in range(len(pivot_cols) - 1, -1, -1):
-        r, c = pivot_rows[k], pivot_cols[k]
+    for r in range(len(pivot_cols) - 1, -1, -1):
+        c = pivot_cols[r]
         s = m[r][ncol]
         for j in range(c + 1, ncol):
             s -= m[r][j] * x[j]
@@ -186,10 +180,9 @@ def _hessenberg(a):
             alpha = max(alpha, abs(a[i][k]))
         if alpha == 0.0:
             continue
+        # an entry of v is exactly +-1, so sigma >= 1
         v = [a[i][k] / alpha for i in range(k + 1, n)]
         sigma = math.sqrt(sum(t * t for t in v))
-        if sigma == 0.0:
-            continue
         if v[0] < 0:
             sigma = -sigma
         v[0] += sigma
@@ -238,13 +231,13 @@ def eigenvalues(a_in):
     n = len(a_in)
     if n == 0:
         return []
-    for row in a_in:
-        for v in row:
-            if not math.isfinite(v):
-                raise LinalgError("matrix contains a non-finite entry")
+    if not all(map(math.isfinite, chain.from_iterable(a_in))):
+        raise LinalgError("matrix contains a non-finite entry")
     if n == 1:
         return [complex(a_in[0][0], 0.0)]
-    h = _hessenberg(_balance(mat_copy(a_in)))
+    h = _hessenberg(_balance([row[:] for row in a_in]))
+    # the fallback deflation scale, taken once per matrix as EISPACK's hqr does
+    norm = max_abs(h)
     eigs = []
     hi = n - 1
     sweeps = 0
@@ -259,7 +252,7 @@ def eigenvalues(a_in):
         while lo > 0:
             s = abs(h[lo - 1][lo - 1]) + abs(h[lo][lo])
             if s == 0.0:
-                s = max_abs(h)
+                s = norm
             if abs(h[lo][lo - 1]) <= EIG_TOL * s:
                 h[lo][lo - 1] = 0.0
                 break
@@ -297,13 +290,15 @@ def eigenvalues(a_in):
             if alpha == 0.0:
                 x, y, z = _next_column(h, k, hi)
                 continue
-            xs, ys, zs = x / alpha, y / alpha, (z / alpha if three else 0.0)
+            # z is 0 when the reflector has two rows, and one of xs, ys, zs
+            # is exactly +-1, so |sigma| >= 1 and |v0| >= 1
+            xs, ys, zs = x / alpha, y / alpha, z / alpha
             sigma = math.sqrt(xs * xs + ys * ys + zs * zs)
             if xs < 0:
                 sigma = -sigma
             v0 = xs + sigma
             v1, v2 = ys, zs
-            beta = 1.0 / (sigma * v0) if sigma * v0 != 0.0 else 0.0
+            beta = 1.0 / (sigma * v0)
             jlo = max(lo, k - 1)
             for j in range(jlo, n):
                 s = v0 * h[k][j] + v1 * h[k + 1][j]

@@ -374,6 +374,9 @@ NETS = {
     "complex_power": sir_net(s_init=1, i_init=5, incidence="beta*(S-I)^0.5"),
     "infinite_exponent": sir_net(incidence="beta*S*I^1e400"),
     "infinite_number": sir_net(incidence="1e400*S"),
+    "exponent_divzero": sir_net(incidence="beta*S*I^(1/0)"),
+    "exponent_zero_to_negative": sir_net(incidence="beta*S*I^(0^-1)"),
+    "exponent_complex": sir_net(incidence="beta*S*I^((-1)^0.5)"),
     "unterminated_quote": sir_net().replace('weight="gamma*I"', 'weight="gamma*II', 1),
     "infected_transition": sir_net().replace("trans recover", "trans recover infected"),
     "param_nan": sir_net().replace("param beta=0.3", "param beta=nan"),
@@ -417,6 +420,10 @@ ERROR_CASES = {
     "vapn_overflow": (["simulate", "{net}", "--t-end", "1", "--dt", "0.1"], 1),
     "infinite_exponent": (["r0", "{net}"], 2),
     "infinite_number": (["simulate", "{net}", "--t-end", "1"], 2),
+    # an exponent is evaluated at parse time, so its failure is the file's
+    "exponent_divzero": (["r0", "{net}"], 2),
+    "exponent_zero_to_negative": (["r0", "{net}"], 2),
+    "exponent_complex": (["r0", "{net}"], 2),
     "expr_nested_brackets": (["r0", "{net}"], 2),
     "expr_quotient_chain": (["r0", "{net}"], 2),
     "expr_oversized_product": (["r0", "{net}"], 2),

@@ -252,6 +252,13 @@ def test_non_finite_numbers_and_exponents_rejected(text, message):
         parse_expr(text)
 
 
+@pytest.mark.parametrize("exponent", ["(1/0)", "(0^-1)", "((-1)^0.5)"])
+def test_exponent_that_cannot_be_evaluated_is_a_syntax_error(exponent):
+    with pytest.raises(ExprSyntaxError, match="exponent cannot be evaluated") as err:
+        parse_expr("b*S*I^" + exponent)
+    assert err.value.offset == 5        # the '^'
+
+
 def test_syntax_error_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("a + * b")

@@ -275,6 +275,24 @@ def test_derive_differentiates_a_row_once_per_place_it_contains(monkeypatch):
         assert len([x for x in names if x not in present]) <= 1
 
 
+def test_eigenvalues_take_the_deflation_scale_once(monkeypatch):
+    # K of the chain has one non-zero row, so most neighbouring diagonal pairs
+    # are both zero and deflate against the scale of the whole matrix
+    K = ngm.ngm_r0(parse_model(scaling_chain(50))).K
+    assert sum(any(row) for row in K) == 1
+    calls = []
+    real = linalg.max_abs
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "max_abs", counted)
+    eigs = linalg.eigenvalues([list(row) for row in K])
+    assert len(calls) <= 1
+    assert max(map(abs, eigs)) == pytest.approx(25.0, rel=1e-12)
+
+
 # ------------------------------------------------------------------------ r0
 
 FROZEN_R0 = {

@@ -6,7 +6,9 @@ and rates built from places, parameters and constants by + - * / and integer
 or fractional powers, go through the R0 computation and the net's simulator;
 any exception that is not an NgmpnError fails the test. A third property
 test mutates one token of each bundled model file, and the result must parse
-or raise a ModelError.
+or raise a ModelError. A fourth puts generated weight text, deep, long or
+with exponents that cannot be evaluated, into an SIR net: it must parse or
+raise a ModelError, and its R0 must be a result or an NgmpnError.
 """
 import importlib
 import inspect
@@ -14,11 +16,12 @@ import pkgutil
 import re
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ngmpn
 from ngmpn import NgmpnError, ngm_r0, parse_model, run_spn, run_vapn
+from ngmpn.expr import _children, parse_expr
 from ngmpn.petri import ModelError, PetriModel
 
 
@@ -143,3 +146,62 @@ def test_mutated_zoo_files_parse_or_raise_a_model_error(text):
         assert isinstance(parse_model(text), PetriModel)
     except ModelError:
         pass
+
+
+# weight text at and past the expression bounds (32 levels, 256 nodes), and
+# exponents that cannot be evaluated: a division by zero, a negative power of
+# zero, a fractional power of a negative number and an overflow
+LEAVES = st.sampled_from(["S", "I", "R", "N", "b", "g", "0", "1", "2", "0.5"])
+EXPONENTS = st.sampled_from(["2", "-1", "0.5", "(3/2)", "2^0.5", "(1/0)", "(0^-1)",
+                             "((-1)^0.5)", "2^2^2^2^2", "1e400", "(1e200*1e200)"])
+
+
+def weights():
+    def grow(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map("".join),
+            st.tuples(inner, st.sampled_from([1, 2, 31, 32, 40])).map(
+                lambda t: "(" * t[1] + t[0] + ")" * t[1]),
+            st.tuples(inner, LEAVES, st.sampled_from([1, 2, 30, 31, 32, 40])).map(
+                lambda t: t[0] + f"/{t[1]}" * t[2]),
+            st.tuples(inner, LEAVES, st.sampled_from([1, 2, 60, 254, 255, 300])).map(
+                lambda t: t[0] + f"*{t[1]}" * t[2]),
+            st.tuples(inner, EXPONENTS).map("({0[0]})^{0[1]}".format))
+
+    return st.recursive(LEAVES, grow, max_leaves=6)
+
+
+def nodes(e):
+    return 1 + sum(map(nodes, _children(e)))
+
+
+@given(weights())
+@example("b*S*I^(1/0)")
+@example("b*S*I^(0^-1)")
+@example("b*S*I^((-1)^0.5)")
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+def test_generated_weights_end_in_a_model_error_or_an_r0(weight):
+    text = f"""\
+model sir kind=vapn
+param b=0.3
+param g=0.1
+place S init=99
+place I init=1 infected
+place R init=0
+trans infect
+trans recover
+arc S -> infect weight="{weight}"
+arc infect -> I weight="{weight}"
+arc I -> recover weight="g*I"
+arc recover -> R weight="g*I"
+"""
+    try:
+        m = parse_model(text)
+    except ModelError:
+        return
+    assert isinstance(m, PetriModel)
+    if nodes(parse_expr(weight)) < 64:    # the derivatives of a large tree cost seconds
+        try:
+            ngm_r0(m)
+        except NgmpnError:
+            pass

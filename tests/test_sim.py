@@ -9,6 +9,7 @@ import pytest
 from ngmpn import codegen, sim
 from ngmpn.expr import eval_expr, parse_expr
 from ngmpn.modelzoo import builtin
+from ngmpn.ngm import ngm_r0
 from ngmpn.petri import parse_model
 from ngmpn.sim import (SimError, run_spn, run_spn_replicates, run_vapn,
                        step_vapn)
@@ -323,6 +324,59 @@ def test_spn_negative_rate_rejected():
     with pytest.raises(SimError) as err:
         run_spn(parse_model(text), 1.0, seed=1)
     assert "arrive" in str(err.value)
+
+
+# ------------------------------------------------- the stochastic threshold
+
+def extinction_probabilities(F, V):
+    """q[i], the chance that the outbreak one type-i infected starts dies out,
+    in the branching process that linearizes an spn net at its DFE: a type-i
+    infected makes a type-j one at rate F[j][i], moves to type k at rate
+    -V[k][i] and leaves the infected types at rate sum_k V[k][i]. q is the
+    least fixed point of the offspring generating functions, reached by
+    iterating them from 0 (Allen & van den Driessche 2013)."""
+    types = range(len(F))
+    rate = [sum(F[j][i] for j in types) + V[i][i] for i in types]
+    q = [0.0] * len(F)
+    for _ in range(10_000):
+        new = [(sum(F[j][i] * q[i] * q[j] for j in types)
+                - sum(V[k][i] * q[k] for k in types if k != i)
+                + sum(V[k][i] for k in types)) / rate[i] for i in types]
+        if new == q:
+            break
+        q = new
+    return q
+
+
+# model: (params, marking0, t_end, replicates). Each run starts at the DFE with
+# one infected token; the params keep the zoo's F and V. seir_spn's S* = Pi/mu
+# is 1000 here, not 125 (beta*S* is still 0.3125), so that no major outbreak
+# ends by t_end. By t_end the chance that an outbreak which will die out is
+# still going (q less the extinction probability by t_end, from the backward
+# equations) is 0.0006 for sirs_spn and 0.0005 for seir_spn, against standard
+# errors of 0.015 and 0.022.
+THRESHOLD_RUNS = {
+    "sirs_spn": (None, (99999, 1, 0), 30.0, 1000),
+    "seir_spn": ({"Pi": 20.0, "beta": 0.0003125}, (1000, 0, 1, 0), 60.0, 500),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THRESHOLD_RUNS))
+def test_early_extinction_matches_the_branching_process_of_f_and_v(name):
+    params, marking0, t_end, runs = THRESHOLD_RUNS[name]
+    m = builtin(name)
+    res = ngm_r0(m, params)
+    infected = [m.place_index(p) for p in m.infected_places()]
+    assert [res.dfe.marking[i] for i in infected] == [0.0] * len(infected)
+    assert abs(res.dfe.marking[0] - marking0[0]) <= 1      # S, less the seed
+    seeded = [marking0[i] for i in infected].index(1)
+    q = extinction_probabilities(res.F, res.V)[seeded]
+    extinct = 0
+    for seed in range(runs):
+        last = run_spn(m, t_end, seed=seed, params=params, sample_dt=t_end,
+                       marking0=marking0).markings[-1]
+        extinct += not any(last[i] for i in infected)
+    assert abs(extinct / runs - q) <= 4 * math.sqrt(q * (1 - q) / runs)
 
 
 # ---------------------------------------------- the compiled direct method
