@@ -9,6 +9,7 @@ objects are emitted with sorted keys, so runs diff cleanly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -20,7 +21,7 @@ from .estimate import MAX_GRID_POINTS, SweepConfig, sweep
 from .modelzoo import ZooError, builtin, zoo_entries, zoo_entry
 from .ngm import ngm_r0
 from .petri import ModelError, load_model, validate_assumptions
-from .sim import MAX_REPLICATES, run_spn, run_spn_replicates, run_vapn
+from .sim import RANGES, run_spn, run_spn_replicates, run_vapn
 
 
 class UsageError(NgmpnError):
@@ -69,9 +70,7 @@ def _params(args):
     return out
 
 
-def _seed(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
+def _env_seed():
     env = os.environ.get("NGMPN_SEED")
     if not env:
         return None
@@ -102,25 +101,19 @@ def _rep_path(path: str, i: int) -> str:
     return f"{stem}.rep{i}{ext or '.csv'}"
 
 
-# each numeric option of simulate and sweep, with the condition the library
-# puts on it: a value outside it is the command line's fault, found before
-# any work. simulate leaves the options of one simulator unset (None).
-_OPTION_RANGES = [
-    ("dt", lambda v: v is None or 0 < v < math.inf, "positive and finite"),
-    ("t_end", lambda v: v is not None and 0 <= v < math.inf,
-     "given, finite and non-negative"),
-    ("max_t", lambda v: 0 < v < math.inf, "positive and finite"),
-    ("conv_tol", lambda v: 0 <= v < math.inf, "finite and >= 0"),
-    ("sample_dt", lambda v: v is None or v > 0, "positive"),
-    ("sample_every", lambda v: v is None or v >= 1, "an integer >= 1"),
-    ("replicates", lambda v: v is None or 1 <= v <= MAX_REPLICATES,
-     f"an integer from 1 to {MAX_REPLICATES}"),
-]
+def _given(args, names) -> dict:
+    """The options among `names` that were given, by keyword; an option not
+    given (None) takes the library's default."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
 def _check_options(args):
-    for name, ok, what in _OPTION_RANGES:
-        if hasattr(args, name) and not ok(getattr(args, name)):
+    """A given option outside the library's range for it is the command
+    line's fault, found before any work."""
+    for name, (ok, what) in RANGES.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
             raise UsageError(f"--{name.replace('_', '-')} must be {what}")
 
 
@@ -128,51 +121,46 @@ def _check_options(args):
 # model of the other kind is a usage error, not an option silently ignored
 _SIMULATOR_OPTIONS = {
     "vapn": ("deterministic", ("dt", "sample_every")),
-    "spn": ("stochastic", ("sample_dt", "replicates")),
+    "spn": ("stochastic", ("sample_dt", "replicates", "seed")),
 }
 
 
 def _simulator_options(args, kind) -> dict:
     """The options given for a `kind` model's simulator, by keyword."""
     for other, (what, names) in _SIMULATOR_OPTIONS.items():
-        if other == kind:
-            continue
-        for name in names:
-            if getattr(args, name) is not None:
-                raise UsageError(f"--{name.replace('_', '-')} applies to {what} "
-                                 f"models only")
-    return {name: getattr(args, name) for name in _SIMULATOR_OPTIONS[kind][1]
-            if getattr(args, name) is not None}
+        for name in _given(args, names) if other != kind else ():
+            raise UsageError(f"--{name.replace('_', '-')} applies to {what} models only")
+    return _given(args, _SIMULATOR_OPTIONS[kind][1])
 
 
 def cmd_simulate(args) -> int:
     m = _load(args)
+    if args.t_end is None:
+        raise UsageError("--t-end must be given")
     _check_options(args)
     options = _simulator_options(args, m.kind)
     params = _params(args)
     if m.kind == "vapn":
         trajs = [run_vapn(m, args.t_end, params=params, **options)]
     else:
-        seed = _seed(args)
+        if "seed" not in options:
+            options["seed"] = _env_seed()
         replicates = options.pop("replicates", 1)
         if replicates == 1:
-            trajs = [run_spn(m, args.t_end, seed=seed, params=params, **options)]
+            trajs = [run_spn(m, args.t_end, params=params, **options)]
         else:
-            trajs = run_spn_replicates(m, args.t_end, seed=seed, params=params,
+            trajs = run_spn_replicates(m, args.t_end, params=params,
                                        replicates=replicates, **options)
-    if args.output:
-        if len(trajs) == 1:
-            with open(args.output, "w") as fh:
-                trajs[0].write_csv(fh)
+    many = len(trajs) > 1
+    for i, tr in enumerate(trajs):
+        if args.output:
+            fh = open(_rep_path(args.output, i) if many else args.output, "w")
         else:
-            for i, tr in enumerate(trajs):
-                with open(_rep_path(args.output, i), "w") as fh:
-                    tr.write_csv(fh)
-    else:
-        for i, tr in enumerate(trajs):
-            if len(trajs) > 1:
+            fh = contextlib.nullcontext(sys.stdout)
+            if many:
                 print(f"# replicate {i} seed={tr.rng_seed}")
-            tr.write_csv(sys.stdout)
+        with fh as out:
+            tr.write_csv(out)
     return 0
 
 
@@ -216,8 +204,8 @@ def cmd_sweep(args) -> int:
     m = _load(args)
     _check_options(args)
     grid = _parse_grid(args.grid)
-    config = SweepConfig(dt=args.dt, conv_tol=args.conv_tol, max_t=args.max_t,
-                         susceptible=args.susceptible, overrides=_params(args))
+    config = SweepConfig(overrides=_params(args),
+                         **_given(args, ("dt", "conv_tol", "max_t", "susceptible")))
     report = sweep(m, grid, config)
 
     if args.output:
@@ -257,8 +245,6 @@ def _parser():
     def common(p):
         p.add_argument("model", nargs="?", help="model file (.pnet)")
         p.add_argument("--builtin", help="built-in model id (see list-models)")
-        p.add_argument("-p", "--param", action="append", metavar="NAME=VALUE",
-                       help="override a parameter (repeatable)")
 
     p = sub.add_parser("validate", help="check structural assumptions")
     common(p)
@@ -270,8 +256,6 @@ def _parser():
 
     p = sub.add_parser("simulate", help="run one model, write trajectory CSV")
     common(p)
-    # unset options take the simulator's defaults: --dt 0.1 and
-    # --sample-every 1 for vapn, --sample-dt 1.0 and --replicates 1 for spn
     p.add_argument("--dt", type=float)
     p.add_argument("--t-end", type=float, dest="t_end")
     p.add_argument("--seed", type=int)
@@ -285,15 +269,20 @@ def _parser():
     common(p)
     p.add_argument("--grid", action="append", metavar="NAME=lo:hi:count",
                    help="inclusive linear grid for one parameter (repeatable)")
-    p.add_argument("--dt", type=float, default=0.05)
-    p.add_argument("--conv-tol", type=float, default=1e-6, dest="conv_tol")
-    p.add_argument("--max-t", type=float, default=3e5, dest="max_t")
-    p.add_argument("--susceptible", default="S")
+    p.add_argument("--dt", type=float)
+    p.add_argument("--conv-tol", type=float, dest="conv_tol")
+    p.add_argument("--max-t", type=float, dest="max_t")
+    p.add_argument("--susceptible")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("list-models", help="list built-in models")
     p.set_defaults(fn=cmd_list_models)
+
+    # validate reads no parameter values, so it takes no -p
+    for name in ("r0", "simulate", "sweep"):
+        sub.choices[name].add_argument("-p", "--param", action="append", metavar="NAME=VALUE",
+                                       help="override a parameter (repeatable)")
     return ap
 
 

@@ -27,6 +27,7 @@ model.
 """
 from __future__ import annotations
 
+import builtins
 import keyword
 import math
 import re
@@ -36,16 +37,17 @@ from .expr import Add, Constant, Div, Mul, Neg, Pow, Symbol
 from .petri import PetriModel, RESERVED_TOTAL
 
 # names the generated code uses itself: its locals and helpers all look like
-# `_abc12`, plus the builtins it calls; a model name that matches gets a
-# trailing underscore
-_INTERNAL = re.compile(r"_[a-z]*[0-9]*|range|map|float|min|max|abs")
+# `_abc12`, and it may call any builtin; a model name that matches either
+# gets a trailing underscore
+_INTERNAL = re.compile(r"_[a-z]*[0-9]*")
 
 
 def _pyname(name: str, taken: set) -> str:
-    """A Python name for a model symbol: not a keyword, not one the generated
-    code uses itself, and not taken by another symbol."""
+    """A Python name for a model symbol: not a keyword, not a builtin, not
+    one the generated code uses itself, and not taken by another symbol."""
     out = name
-    while keyword.iskeyword(out) or out in taken or _INTERNAL.fullmatch(out):
+    while (keyword.iskeyword(out) or hasattr(builtins, out) or out in taken
+           or _INTERNAL.fullmatch(out)):
         out += "_"
     return out
 

@@ -25,7 +25,7 @@ from . import linalg
 from .errors import NgmpnError
 from .ngm import NgmResult, ngm_r0
 from .petri import PetriModel
-from .sim import MAX_STEPS, Trajectory, _marking, run_vapn
+from .sim import MAX_STEPS, Trajectory, _marking, check_ranges, run_vapn
 
 
 class EstimateError(NgmpnError):
@@ -241,11 +241,8 @@ def converged_run(m: PetriModel, res: NgmResult, config: SweepConfig) -> Traject
 def _check_inputs(m: PetriModel, config: SweepConfig, points) -> list:
     """Raise EstimateError for a config or grid point no point could run;
     return each point's parameters merged over the overrides and the model's."""
-    for name in ("dt", "max_t"):
-        if not 0 < getattr(config, name) < math.inf:
-            raise EstimateError(f"{name} must be positive and finite")
-    if not 0 <= config.conv_tol < math.inf:
-        raise EstimateError("conv_tol must be finite and >= 0")
+    check_ranges(EstimateError, dt=config.dt, max_t=config.max_t,
+                 conv_tol=config.conv_tol)
     for name in _names(config.susceptible):
         if not m.is_place(name):
             raise EstimateError(f"susceptible place {name!r} is not in model {m.name}")

@@ -75,7 +75,7 @@ def invert(a):
     """Inverse via Gauss-Jordan on [a | I]; returns (inverse, condition) where
     condition is the 1-norm estimate ||a||_1 * ||a^-1||_1."""
     n = len(a)
-    m = [row + [0.0] * n for row in a]
+    m = [list(row) + [0.0] * n for row in a]
     for i, row in enumerate(m):
         row[n + i] = 1.0
     tiny = 1e-14 * max_abs(a)
@@ -108,7 +108,7 @@ def basic_solution(a, b):
     """
     nrow = len(a)
     ncol = len(a[0]) if a else 0
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
+    m = [list(row) + [b[i]] for i, row in enumerate(a)]
     tol = PIVOT_TOL * max_abs(a)
     pivot_cols = []
     for col in range(ncol):
@@ -235,7 +235,7 @@ def eigenvalues(a_in):
         raise LinalgError("matrix contains a non-finite entry")
     if n == 1:
         return [complex(a_in[0][0], 0.0)]
-    h = _hessenberg(_balance([row[:] for row in a_in]))
+    h = _hessenberg(_balance([list(row) for row in a_in]))
     # the fallback deflation scale, taken once per matrix as EISPACK's hqr does
     norm = max_abs(h)
     eigs = []

@@ -108,6 +108,30 @@ MAX_EVENTS = 100_000_000
 # even with one sample (sirs_spn), so a million would hold over a GB
 MAX_REPLICATES = 100_000
 
+# the range of each numeric argument of the simulators and of a sweep's
+# config: a condition and its wording. sim and estimate check their
+# arguments against it, and the command line its options.
+RANGES = {
+    "dt": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "t_end": (lambda v: 0 <= v < math.inf, "finite and non-negative"),
+    "max_t": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "conv_tol": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    "sample_dt": (lambda v: v > 0, "positive"),
+    "sample_every": (lambda v: isinstance(v, numbers.Integral) and v >= 1,
+                     "an integer >= 1"),
+    "replicates": (lambda v: isinstance(v, numbers.Integral)
+                   and 1 <= v <= MAX_REPLICATES,
+                   f"an integer from 1 to {MAX_REPLICATES}"),
+}
+
+
+def check_ranges(error, **values):
+    """Raise `error` for the first value outside its range in RANGES."""
+    for name, v in values.items():
+        ok, what = RANGES[name]
+        if not ok(v):
+            raise error(f"{name} must be {what}, got {v!r}")
+
 
 def _check_samples(count: float):
     """Refuse a run that would record more than MAX_SAMPLES samples."""
@@ -200,10 +224,7 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
     partial step covers t_end when it is not a multiple of dt, so a run with
     t_end > t0 ends at t_end however large dt is.
     """
-    if not 0 < dt < math.inf:
-        raise SimError(f"dt must be positive and finite, got {dt!r}")
-    if not isinstance(sample_every, numbers.Integral) or sample_every < 1:
-        raise SimError(f"sample_every must be an integer >= 1, got {sample_every!r}")
+    check_ranges(SimError, dt=dt, sample_every=sample_every)
     span = t_end - t0
     if not 0 <= span < math.inf:
         raise SimError("t_end must be finite and not before t0")
@@ -400,10 +421,7 @@ def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
     SimError. The generator is seeded explicitly so a (model, seed, t_end)
     triple is reproducible bit for bit.
     """
-    if not 0 <= t_end < math.inf:
-        raise SimError("t_end must be finite and non-negative")
-    if not sample_dt > 0:
-        raise SimError("sample_dt must be positive")
+    check_ranges(SimError, t_end=t_end, sample_dt=sample_dt)
     _check_samples(t_end / sample_dt)
     p = _param_values(m, params)
     runner, gain = per_model(m, _build_spn)
@@ -433,10 +451,7 @@ def run_spn(m: PetriModel, t_end: float, seed: int | None = None, params=None,
 def run_spn_replicates(m: PetriModel, t_end: float, seed: int | None = None,
                        replicates: int = 1, params=None, sample_dt: float = 1.0):
     """Independent replicate runs with generators spawned from one seed."""
-    if not (isinstance(replicates, numbers.Integral)
-            and 1 <= replicates <= MAX_REPLICATES):
-        raise SimError(f"replicates must be an integer from 1 to {MAX_REPLICATES}, "
-                       f"got {replicates!r}")
+    check_ranges(SimError, replicates=replicates)
     seed = _seed(seed)
     import numpy as np
     out = []

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ngmpn.cli import _parse_grid, _round12, main
-from ngmpn.estimate import MAX_GRID_POINTS
+from ngmpn.estimate import MAX_GRID_POINTS, SweepConfig, sweep
 from ngmpn.sim import MAX_REPLICATES
 
 SIR_FILE = """\
@@ -194,6 +194,15 @@ def test_simulate_spn_seed_from_environment(capsys, monkeypatch):
     assert out_env == out_flag
 
 
+def test_seed_option_leaves_the_environment_unread(capsys, monkeypatch):
+    _, expected, _ = run(capsys, "simulate", "--builtin", "sirs_spn", "--t-end", "2",
+                         "--seed", "7")
+    monkeypatch.setenv("NGMPN_SEED", "abc")
+    code, out, _ = run(capsys, "simulate", "--builtin", "sirs_spn", "--t-end", "2",
+                       "--seed", "7")
+    assert code == 0 and out == expected
+
+
 def test_simulate_bad_seed_in_environment_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("NGMPN_SEED", "abc")
     code, out, err = run(capsys, "simulate", "--builtin", "sirs_spn",
@@ -256,6 +265,25 @@ def test_sweep_has_no_jobs_option(capsys):
         main(["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1", "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_validate_has_no_param_option(capsys):
+    # validate reads no parameter value, so -p would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--builtin", "sirs", "-p", "beta=1"])
+    assert exc.value.code == 2
+    assert "-p" in capsys.readouterr().err
+
+
+def test_sweep_options_not_given_take_the_configs_defaults(capsys, monkeypatch):
+    configs = []
+    monkeypatch.setattr("ngmpn.cli.sweep", lambda m, grid, config: configs.append(config)
+                        or sweep(m, grid, config))
+    code, _, _ = run(capsys, "sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1")
+    assert code == 0
+    fields = ("dt", "conv_tol", "max_t", "susceptible")
+    assert [getattr(configs[0], f) for f in fields] == \
+        [getattr(SweepConfig(), f) for f in fields]
 
 
 def test_sweep_with_every_point_failed_exits_1(capsys):
@@ -478,6 +506,8 @@ ERROR_CASES = {
                    "--dt", "0.3", "--seed", "3"], 2),
     "replicates_one_on_vapn": (["simulate", "--builtin", "sirs", "--t-end", "1",
                                 "--replicates", "1"], 2),
+    "seed_on_vapn": (["simulate", "--builtin", "sirs", "--t-end", "1",
+                      "--seed", "3"], 2),
     "negative_seed": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
                        "--seed", "-1"], 1),
     "negative_seed_replicates": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ngmpn import codegen, estimate, ngm, sim
 from ngmpn.estimate import (EstimateError, SweepConfig, attack_rate_r0,
                             converged_run, rrmse, sweep)
-from ngmpn.modelzoo import builtin
+from ngmpn.modelzoo import builtin, zoo_entry
 from ngmpn.petri import classify_transitions, net_flow, parse_model
 from ngmpn.sim import Trajectory
 
@@ -346,6 +346,17 @@ def test_sweep_derives_parameter_free_work_once(monkeypatch):
     assert flows == ["S", "R"]        # one DFE system
     assert derived == [m] and built == [m]   # one R0 derivation, one stepper
     assert list(codegen._built[m]) == [ngm._derive, sim._build_vapn]
+
+
+@pytest.mark.parametrize("mid,grid", [
+    ("seeir", {"beta": [0.5]}),
+    ("covid", {"beta_a": [0.3]}),
+    ("patch2", {"beta1": [0.3]}),
+])
+def test_one_point_sweep_on_a_model_with_several_infected_places(mid, grid):
+    # converged_run takes the eigenvalues of ngm_r0's V, a tuple of tuples
+    report = sweep(builtin(mid), grid, SweepConfig(susceptible=zoo_entry(mid).susceptible))
+    assert [row.error for row in report.rows] == [None]
 
 
 def test_sweep_rejects_empty_grid():

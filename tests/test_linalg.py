@@ -187,6 +187,16 @@ def test_eigenvalues_nonneg_matrix_perron_root_real():
 
 # ---------------------------------------------------------- spectral radius
 
+def test_tuple_rows_give_the_bits_of_list_rows():
+    # ngm_r0 returns its matrices as tuples of tuples, which a sweep hands
+    # to eigenvalues
+    a = [[0.27, 0.0, 1.5], [-0.25, 0.12, 0.0], [0.5, -0.3, 0.9]]
+    t = tuple(map(tuple, a))
+    assert eigenvalues(t) == eigenvalues(a)
+    assert invert(t) == invert(a)
+    assert basic_solution(t, (1.0, 2.0, 3.0)) == basic_solution(a, [1.0, 2.0, 3.0])
+
+
 def test_spectral_radius_fixture():
     radius, dominant, eigs, tie = spectral_radius_of([[0.0, 4.0], [9.0, 0.0]])
     assert radius == pytest.approx(6.0, rel=1e-12)

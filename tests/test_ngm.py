@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import random
 from pathlib import Path
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ngmpn import linalg, ngm
+from ngmpn import NgmpnError, linalg, ngm, run_spn, run_vapn
 from ngmpn.expr import Constant, Mul, eval_expr, free_symbols, to_text
 from ngmpn.modelzoo import builtin, oracle_r0, zoo_entry, zoo_ids
 from ngmpn.ngm import DfeError, NgmError, compute_dfe, ngm_r0
-from ngmpn.petri import PetriModel, net_flow, parse_model
+from ngmpn.petri import (ModelError, PetriModel, net_flow, parse_model,
+                         validate_assumptions)
+from nets import chains, nets, permuted, reads_as_renamed, renamed, renamings
 
 
 def rel(a, b):
@@ -549,6 +552,112 @@ def test_threshold_theorem_on_manifest_ranges(mid, data):
     assume(abs(res.r0 - 1.0) >= 1e-9)
     growth = max(np.linalg.eigvals(np.array(res.F) - np.array(res.V)).real)
     assert (growth > 0.0) == (res.r0 > 1.0), (res.r0, growth)
+
+
+# ----------------------------------------------------------- generated chains
+
+def chain_r0(m):
+    """The chain's R0 in closed form: stage j is reached with probability
+    prod_{i<j} g_i/(g_i + mu) and infects c_j/(g_j + mu) on average, where c_j
+    is b_j times S*/N* (frequency-dependent) or S* (mass action)."""
+    p = m.params
+    mu = p.get("mu", 0.0)
+    s_star = p["Pi"] / mu if mu else sum(m.initial_marking())
+    mass_action = not any("N" in free_symbols(a.weight) for a in m.arcs)
+    r0, reach = 0.0, 1.0
+    for j in range(1, len(m.infected_places()) + 1):
+        g = p[f"g{j}"]
+        r0 += reach * p[f"b{j}"] * (s_star if mass_action else 1.0) / (g + mu)
+        reach *= g / (g + mu)
+    return r0
+
+
+@given(chains())
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_generated_chains_and_their_twins_meet_the_threshold_theorem(texts):
+    # the vapn chain and its token-moving spn twin give the same F and V, and
+    # the DFE is unstable exactly when R0 > 1 (van den Driessche & Watmough,
+    # Theorem 2): the spectral abscissa of F - V has the sign of R0 - 1
+    models = [parse_model(text) for text in texts]
+    vapn, spn = map(ngm_r0, models)
+    for a, b in ((vapn.F, spn.F), (vapn.V, spn.V)):
+        for x, y in zip(itertools.chain(*a), itertools.chain(*b), strict=True):
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (x, y)
+    for res in (vapn, spn):
+        assert {f.status for f in res.findings} == {"satisfied"}, res.findings
+    assert rel(vapn.r0, chain_r0(models[0])) <= 1e-9
+    assume(abs(vapn.r0 - 1.0) >= 1e-9)
+    growth = max(np.linalg.eigvals(np.array(vapn.F) - np.array(vapn.V)).real)
+    assert (growth > 0.0) == (vapn.r0 > 1.0), (vapn.r0, growth)
+
+
+# ----------------------------------------------------------------- renaming
+
+def outcomes(text):
+    """The findings, the R0 and findings, and a short run (seeded for an spn)
+    of the net in `text`, each as text: repr for numbers, and the class and
+    message of the package error a step ends in."""
+    try:
+        m = parse_model(text)
+    except ModelError as exc:
+        return [("ModelError", str(exc))]
+    out = [tuple(f"{f.code} {f.status} {f.detail}" for f in validate_assumptions(m))]
+    simulate = (lambda: run_vapn(m, 1.0, dt=0.1)) if m.kind == "vapn" \
+        else (lambda: run_spn(m, 0.1, seed=1))
+    for step in (lambda: ngm_r0(m), simulate):
+        try:
+            res = step()
+        except NgmpnError as exc:
+            out.append((type(exc).__name__, str(exc)))
+            continue
+        if hasattr(res, "r0"):
+            out.append((repr(res.r0), *(f"{f.code} {f.status} {f.detail}"
+                                        for f in res.findings)))
+        else:
+            out.append((repr((res.times, res.markings, res.clipping_events,
+                              res.rng_seed)),))
+    return out
+
+
+@given(kind=st.sampled_from(["vapn", "spn"]), data=st.data())
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+def test_renaming_and_reordering_a_net_change_none_of_its_results(kind, data):
+    # every identifier renamed to a builtin, a keyword or a name of the
+    # generated code's own: the same results bit for bit, up to the names
+    text = data.draw(nets(kind) | chains().map(lambda twins: twins[kind == "spn"]))
+    names = data.draw(renamings(text))
+    base = outcomes(text)
+    new = outcomes(renamed(text, names))
+    assert [len(o) for o in new] == [len(o) for o in base]
+    for o, b in zip(new, base):
+        assert all(reads_as_renamed(x, y, names) for x, y in zip(o, b)), (o, b)
+
+    # declarations in another order: R0 up to rounding, the same statuses.
+    # Where the flows leave a continuum of DFEs, compute_dfe takes the basic
+    # solution favouring earlier declarations, so only there may the DFE
+    # differ, and R0 is compared at the first order's DFE
+    try:
+        a, b = parse_model(text), parse_model(data.draw(permuted(text)))
+    except ModelError:
+        return
+    assert ([(f.code, f.status) for f in validate_assumptions(a)]
+            == [(f.code, f.status) for f in validate_assumptions(b)])
+    try:
+        ra = ngm_r0(a)
+    except NgmpnError as exc:
+        with pytest.raises(type(exc)):
+            ngm_r0(b)
+        return
+    rb = ngm_r0(b)
+    dfe = dict(zip(a.place_names(), ra.dfe.marking))
+    if any(abs(v - dfe[p]) > 1e-9 * max(1.0, dfe[p])
+           for p, v in zip(b.place_names(), rb.dfe.marking)):
+        assert ra.dfe.method == rb.dfe.method == "conservation-augmented"
+        rb = ngm_r0(b, constraints={p.name: dfe[p.name] for p in a.places
+                                    if not p.infected})
+    assert rb.r0 == ra.r0 or rel(rb.r0, ra.r0) <= 1e-12, (rb.r0, ra.r0)
+    assert [(f.code, f.status) for f in rb.findings] == \
+        [(f.code, f.status) for f in ra.findings]
 
 
 # ----------------------------------------------------------- time rescaling
