@@ -52,8 +52,6 @@ def mat_mul(a, b):
 
 def norm1(a) -> float:
     """Maximum absolute column sum."""
-    if not a or not a[0]:
-        return 0.0
     return max([sum(map(abs, col)) for col in zip(*a)])
 
 
@@ -229,8 +227,6 @@ def eigenvalues(a_in):
     fails to deflate within MAX_SWEEPS_FACTOR * n^2 sweeps.
     """
     n = len(a_in)
-    if n == 0:
-        return []
     if not all(map(math.isfinite, chain.from_iterable(a_in))):
         raise LinalgError("matrix contains a non-finite entry")
     if n == 1:
@@ -333,8 +329,6 @@ def _next_column(h, k, hi):
 def spectral_radius_of(a):
     """(radius, dominant eigenvalue, all eigenvalues, tie flag)."""
     eigs = eigenvalues(a)
-    if not eigs:
-        return 0.0, complex(0.0), [], False
     radius = max(map(abs, eigs))
     near = [ev for ev in eigs if abs(ev) >= radius - 1e-12 * (1.0 + radius)]
     dominant = max(near, key=lambda ev: (ev.real, ev.imag))

@@ -124,6 +124,7 @@ class _ModelWork(NamedTuple):
     findings: tuple    # A1-A4; A5 needs parameter values
     dfe_places: tuple  # non-infected places
     dfe_init: tuple    # their initial values
+    susceptible: tuple  # positions in dfe_places of the inputs of infections
     total: float       # sum of every place's initial value
     fv: Callable       # generated _fv, see _r0_functions
     dfe: Callable      # generated _dfe
@@ -157,7 +158,8 @@ def _jacobian(rows, names) -> tuple:
 def _derive(m: PetriModel) -> _ModelWork:
     """The model's parameter-free work; per_model(m, _derive) does it once
     per model."""
-    script_f, script_v = _split(m, classify_transitions(m))
+    classes = classify_transitions(m)
+    script_f, script_v = _split(m, classes)
     infected = m.infected_places()
     f_rows = [_expand_total(m, e) for e in script_f]
     v_rows = [_expand_total(m, add_([c for c in row if c != Constant(0.0)]))
@@ -166,11 +168,14 @@ def _derive(m: PetriModel) -> _ModelWork:
     zero = {name: Constant(0.0) for name in infected}
     dfe_places = tuple(p.name for p in m.places if not p.infected)
     dfe_init = tuple(p.init for p in m.places if not p.infected)
+    inputs = {a.source for t in m.transitions if classes[t.name] == "infection"
+              for a in m.inputs_of(t.name)}
     dfe_flows = tuple(simplify(substitute(_expand_total(m, net_flow(m, p)), zero))
                       for p in dfe_places)
     fns = _r0_functions(m, _jacobian(f_rows, infected), _jacobian(v_rows, infected),
                         dfe_places, dfe_flows, _jacobian(dfe_flows, dfe_places))
     return _ModelWork(script_f, script_v, findings, dfe_places, dfe_init,
+                      tuple(j for j, p in enumerate(dfe_places) if p in inputs),
                       sum(p.init for p in m.places), fns["_fv"], fns["_dfe"])
 
 
@@ -231,10 +236,16 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
     numeric or expression text) pin their places; a pin must be a finite,
     non-negative number. The other non-infected places are the unknowns,
     solved for by one damped-Newton path that starts from the initial
-    marking. If the flow Jacobian there is rank deficient, a token-conservation
-    row (the unknowns sum to the initial total less the pins) joins the
-    system, and free places keep the basic solution favouring earlier
-    declarations. With every place pinned there are no unknowns and no steps.
+    marking. If the flow Jacobian there is rank deficient, the equilibria form
+    a continuum: a token-conservation row (the unknowns sum to the initial
+    total less the pins) joins the system, and the tokens the unknowns lack
+    go to the free susceptible places (the non-infected inputs of infection
+    transitions) in proportion to their marking, or to every unknown alike
+    where no susceptible place is free, as R0 counts infections in a wholly
+    susceptible population. Declaration order matters only where the flows
+    conserve more than one total and Newton must still move from there: its
+    steps are then basic solutions favouring earlier declarations. With
+    every place pinned there are no unknowns and no steps.
     A value below zero by at most 1e-9 of the largest value is snapped to
     zero, with a note. Fails loudly when Newton stalls or does not converge,
     when a component turns negative, or when the final net flows, relative to
@@ -268,10 +279,6 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
     target = w.total - sum(pinned.values())
     weight = 0.0    # of the conservation row; 0.0 until the row is added
 
-    def conserve(u, f, jac):
-        """f and jac with the token conservation row appended."""
-        return f + [weight * (sum(u) - target)], jac + [[weight] * len(u)]
-
     def system(u):
         """Residuals, flow scale and Jacobian over the unknowns at u: the
         flows, then the conservation row once it has been added."""
@@ -281,7 +288,7 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
         if pinned:
             jac = [[row[j] for j in cols] for row in jac]
         if weight:
-            f, jac = conserve(u, f, jac)
+            f, jac = f + [weight * (sum(u) - target)], jac + [[weight] * len(u)]
         return f, scale, jac
 
     u = [values[j] for j in cols]
@@ -295,7 +302,14 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
         # as jac's entries, up to 2**1023, the largest a float holds: at any
         # time scale of the rates, its pivots are then not counted as zero
         weight = max(1.0, 2.0 ** min(math.frexp(linalg.max_abs(jac))[1], 1023))
-        f, jac = conserve(u, f, jac)
+        # the tokens the unknowns lack go to the free susceptible places (to
+        # every unknown where none is free), in proportion to their values or
+        # in equal shares where those are all 0
+        free = [k for k, j in enumerate(cols) if j in w.susceptible] or range(len(u))
+        lack, have = target - sum(u), sum(u[k] for k in free)
+        for k in free:
+            u[k] += lack * u[k] / have if have else lack / len(free)
+        f, scale, jac = system(u)
         step = None
     method = ("annotated" if pinned or not unknowns else
               "conservation-augmented" if weight else "newton")

@@ -293,6 +293,8 @@ def _build_spn(m: PetriModel):
         rates.append(f"({code}) if ({guards}) else 0.0" if guards else f"({code})")
         depends.append(free_symbols(t.rate) | {a.source for a in inputs})
         deltas.append({p.name: change[p.name] for p in m.places if change.get(p.name)})
+    # the total is tracked only where a rate reads it
+    reads_total = any(RESERVED_TOTAL in deps for deps in depends)
 
     def update(js):
         """Recompute the listed propensities, then check them in order."""
@@ -306,7 +308,7 @@ def _build_spn(m: PetriModel):
     select = []
     last = len(rates) - 1
     for j, delta in enumerate(deltas):
-        net = sum(delta.values())
+        net = sum(delta.values()) if reads_total else 0
         changed = set(delta) | ({RESERVED_TOTAL} if net else set())
         body = [f"{names[name]} {'-' if dv < 0 else '+'}= {float(abs(dv))!r}"
                 for name, dv in (*delta.items(), (RESERVED_TOTAL, net)) if dv]
@@ -325,7 +327,7 @@ def _build_spn(m: PetriModel):
 def _run(_mk, _p, _pairs, _tend, _sdt, _tapp, _mapp):
     {marking} = map(float, _mk)
     ({params}) = _p
-    {total} = {" + ".join(place_vars)}
+    {f'{total} = {" + ".join(place_vars)}' if reads_total else ""}
     _t = 0.0
     _ns = _sdt
     {sep[:-4].join(update(range(len(rates))))}

@@ -31,6 +31,75 @@ def test_dfe_sirs_conservation():
     assert dfe.residual <= 1e-10
 
 
+CLOSED_CHAIN = """\
+model chain kind=vapn
+param b1 = 0.5
+param g1 = 1
+place S init=50
+place I1 init=1 infected
+place R init=0
+trans inf
+arc S -> inf weight="b1*S*I1/N"
+arc inf -> I1 weight="b1*S*I1/N"
+trans rec
+arc I1 -> rec weight="g1*I1"
+arc rec -> R weight="g1*I1"
+"""
+
+TWO_SUSCEPTIBLE = """\
+model two kind=vapn
+param b = 0.5
+param g = 0.25
+place S1 init=300
+place S2 init=100
+place I1 init=1 infected
+place I2 init=0 infected
+place R init=0
+trans inf1
+arc S1 -> inf1 weight="b*S1*(I1+I2)/N"
+arc inf1 -> I1 weight="b*S1*(I1+I2)/N"
+trans inf2
+arc S2 -> inf2 weight="b*S2*(I1+I2)/N"
+arc inf2 -> I2 weight="b*S2*(I1+I2)/N"
+trans rec1
+arc I1 -> rec1 weight="g*I1"
+arc rec1 -> R weight="g*I1"
+trans rec2
+arc I2 -> rec2 weight="g*I2"
+arc rec2 -> R weight="g*I2"
+"""
+
+# no infection transition, so no susceptible place
+SOURCE_ONLY = """\
+model source kind=vapn
+param k = 1
+place P0 init=0
+place P1 init=1 infected
+place P2 init=0
+trans t0
+arc t0 -> P1 weight="k*P1"
+"""
+
+
+@pytest.mark.parametrize("m, params, dfe, r0", [
+    (builtin("sirs"), {"delta": 0.0}, {"S": 1000000.0, "I": 0.0, "R": 0.0}, 3.0),
+    (parse_model(CLOSED_CHAIN), None, {"S": 51.0, "I1": 0.0, "R": 0.0}, 0.5),
+    (parse_model(TWO_SUSCEPTIBLE), None,
+     {"S1": 300.75, "S2": 100.25, "I1": 0.0, "I2": 0.0, "R": 0.0}, 2.0),
+    (parse_model(SOURCE_ONLY), None, {"P0": 0.5, "P1": 0.0, "P2": 0.5}, 0.0),
+], ids=["sirs_at_delta_0", "closed_chain", "two_susceptible_places", "source_only"])
+def test_dfe_of_a_continuum_is_the_same_in_every_place_order(m, params, dfe, r0):
+    # every marking with no infected token is an equilibrium, so the
+    # infected tokens go to the susceptible places, split as they are
+    # (3:1 for S1 and S2), or to every free place alike where none is
+    # susceptible, in each of the orders the places can be declared
+    places = {p.name: p for p in m.places}
+    for names in itertools.permutations(places):
+        res = ngm_r0(PetriModel(m.name, m.kind, tuple(places[n] for n in names),
+                                m.transitions, m.arcs, m.params), params=params)
+        assert (dict(zip(names, res.dfe.marking)), res.r0) == (dfe, r0), names
+
+
 def test_dfe_seir_newton_demographic_balance():
     # susceptible settles at recruitment/mortality
     dfe = compute_dfe(builtin("seir"), params={"Pi": 2.0, "mu": 0.01})
@@ -218,11 +287,33 @@ def test_scripts_relapse_self_loop():
     ]
 
 
+# S + I -> 2 E: the infection takes from I and gives nothing back to it
+CONSUMING_INFECTION = """\
+model consume kind=vapn
+param beta = 0.4
+param eta = 0.5
+param gamma = 0.2
+place S init=999
+place E init=0 infected
+place I init=1 infected
+place R init=0
+trans infect
+arc S -> infect weight="beta*S*I/N"
+arc I -> infect weight="beta*S*I/N"
+arc infect -> E weight="2*beta*S*I/N"
+trans onset
+arc E -> onset weight="eta*E"
+arc onset -> I weight="eta*E"
+trans recover
+arc I -> recover weight="gamma*I"
+arc recover -> R weight="gamma*I"
+"""
+
+
 def test_split_adds_up_to_net_flow():
     # script F_i minus row i of script V is the net flow of infected place i
     rng = random.Random(20261018)
-    for mid in zoo_ids():
-        m = builtin(mid)
+    for m in [*map(builtin, zoo_ids()), parse_model(CONSUMING_INFECTION)]:
         res = ngm_r0(m)
         for _ in range(20):
             b = m.bindings_at(tuple(rng.uniform(0.5, 500.0) for _ in m.places))
@@ -230,7 +321,7 @@ def test_split_adds_up_to_net_flow():
                 split = eval_expr(res.script_f[i], b) - sum(
                     eval_expr(c, b) for c in res.script_v[i])
                 assert split == pytest.approx(eval_expr(net_flow(m, place), b),
-                                              rel=1e-12), (mid, place)
+                                              rel=1e-12), (m.name, place)
 
 
 # ----------------------------------------------------------------- Jacobians
@@ -536,6 +627,34 @@ arc move -> B weight="k*A"
         ngm_r0(parse_model(text))
 
 
+def test_ill_conditioned_transfer_matrix_rejected():
+    # I1 and I2 swap tokens at rate a and leave at rate d, so V has the
+    # eigenvalues 2a + d and d, and condition about 2a/d
+    text = """\
+model stiff kind=vapn
+param a = 1
+param d = 1e-14
+place S init=1000
+place I1 init=1 infected
+place I2 init=0 infected
+trans inf
+arc S -> inf weight="0.1*S*I1"
+arc inf -> I1 weight="0.1*S*I1"
+trans swap12
+arc I1 -> swap12 weight="a*I1"
+arc swap12 -> I2 weight="a*I1"
+trans swap21
+arc I2 -> swap21 weight="a*I2"
+arc swap21 -> I1 weight="a*I2"
+trans exit1
+arc I1 -> exit1 weight="d*I1"
+trans exit2
+arc I2 -> exit2 weight="d*I2"
+"""
+    with pytest.raises(NgmError, match=r"ill-conditioned \(condition 2e\+14\)"):
+        ngm_r0(parse_model(text))
+
+
 # --------------------------------------------------------- threshold theorem
 
 @pytest.mark.parametrize("mid", zoo_ids())
@@ -632,10 +751,9 @@ def test_renaming_and_reordering_a_net_change_none_of_its_results(kind, data):
     for o, b in zip(new, base):
         assert all(reads_as_renamed(x, y, names) for x, y in zip(o, b)), (o, b)
 
-    # declarations in another order: R0 up to rounding, the same statuses.
-    # Where the flows leave a continuum of DFEs, compute_dfe takes the basic
-    # solution favouring earlier declarations, so only there may the DFE
-    # differ, and R0 is compared at the first order's DFE
+    # declarations in another order: the same DFE, R0 up to rounding and the
+    # same statuses. Where the flows leave a continuum of DFEs, the infected
+    # tokens go to the free susceptible places, which no order decides
     try:
         a, b = parse_model(text), parse_model(data.draw(permuted(text)))
     except ModelError:
@@ -650,11 +768,8 @@ def test_renaming_and_reordering_a_net_change_none_of_its_results(kind, data):
         return
     rb = ngm_r0(b)
     dfe = dict(zip(a.place_names(), ra.dfe.marking))
-    if any(abs(v - dfe[p]) > 1e-9 * max(1.0, dfe[p])
-           for p, v in zip(b.place_names(), rb.dfe.marking)):
-        assert ra.dfe.method == rb.dfe.method == "conservation-augmented"
-        rb = ngm_r0(b, constraints={p.name: dfe[p.name] for p in a.places
-                                    if not p.infected})
+    for p, v in zip(b.place_names(), rb.dfe.marking):
+        assert abs(v - dfe[p]) <= 1e-9 * max(1.0, dfe[p]), (p, v, dfe[p])
     assert rb.r0 == ra.r0 or rel(rb.r0, ra.r0) <= 1e-12, (rb.r0, ra.r0)
     assert [(f.code, f.status) for f in rb.findings] == \
         [(f.code, f.status) for f in ra.findings]

@@ -91,6 +91,10 @@ def test_parse_spn():
      "line 13: arc"),
     (lambda t: t.replace("param beta=0.3", "param beta = nan"), "line 2: param beta"),
     (lambda t: t.replace("param beta=0.3", "param beta = 1e400"), "line 2: param beta"),
+    (lambda t: t.replace("param beta=0.3", "param beta = fast"),
+     "line 2: param beta is not a finite number: 'fast'"),
+    (lambda t: t.replace("place S init=999999", "place S init=x1"),
+     "line 5: init of place 'S' is not a finite number: 'x1'"),
     (lambda t: t.replace("place S init=999999", "place S init=nan"),
      "line 5: init of place 'S'"),
     (lambda _: SIRS_SPN.replace("place S init=98000", "place S init=inf"),
