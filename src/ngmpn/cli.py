@@ -205,7 +205,7 @@ def cmd_sweep(args) -> int:
     _check_options(args)
     grid = _parse_grid(args.grid)
     config = SweepConfig(overrides=_params(args),
-                         **_given(args, ("dt", "conv_tol", "max_t", "susceptible")))
+                         **_given(args, ("dt", "conv_tol", "max_t")))
     report = sweep(m, grid, config)
 
     if args.output:
@@ -272,7 +272,6 @@ def _parser():
     p.add_argument("--dt", type=float)
     p.add_argument("--conv-tol", type=float, dest="conv_tol")
     p.add_argument("--max-t", type=float, dest="max_t")
-    p.add_argument("--susceptible")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_sweep)
 

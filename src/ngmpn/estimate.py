@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import NgmpnError
-from .ngm import NgmResult, ngm_r0
+from .ngm import NgmResult, ngm_r0, susceptible_places
 from .petri import PetriModel
 from .sim import MAX_STEPS, Trajectory, _marking, check_ranges, run_vapn
 
@@ -41,14 +41,10 @@ class EstimateResult(NamedTuple):
     flags: tuple = ()
 
 
-def _names(places) -> tuple:
-    """One place name or several, as a tuple."""
-    return (places,) if isinstance(places, str) else tuple(places)
-
-
 def _susceptible_indices(traj: Trajectory, susceptible_place):
     idx = []
-    for nm in _names(susceptible_place):
+    for nm in ((susceptible_place,) if isinstance(susceptible_place, str)
+               else susceptible_place):
         if nm not in traj.places:
             raise EstimateError(f"no place named {nm!r} in trajectory")
         idx.append(traj.places.index(nm))
@@ -136,7 +132,6 @@ class SweepConfig(NamedTuple):
     dt: float = 0.05
     conv_tol: float = 1e-6          # plateau when |dS per chunk| <= tol*n
     max_t: float = 3e5
-    susceptible: tuple | str = "S"
     # fixed params, e.g. delta=0; the default is read-only, since every
     # config made without overrides shares it
     overrides: dict = MappingProxyType({})
@@ -184,7 +179,8 @@ def _start(m: PetriModel, config: SweepConfig) -> tuple:
 
 
 def converged_run(m: PetriModel, res: NgmResult, config: SweepConfig) -> Trajectory:
-    """Chunked VAPN run until the susceptible total flattens.
+    """Chunked VAPN run until the total of the model's susceptible places
+    (ngm.susceptible_places) flattens.
 
     res is the NgmResult of ngm_r0 for this model at this point: the run
     uses the parameter values it solved at (res.dfe.params), and each chunk
@@ -205,7 +201,7 @@ def converged_run(m: PetriModel, res: NgmResult, config: SweepConfig) -> Traject
     params = dict(zip(m.params, res.dfe.params))
     marking = _start(m, config)
     n = float(sum(marking))
-    idx = [m.place_index(p) for p in _names(config.susceptible)]
+    idx = [m.place_index(p) for p in susceptible_places(m)]
     inf_idx = [m.place_index(p) for p in m.infected_places()]
 
     # over a tiny dt the step count can overflow to inf; clamped, a chunk of
@@ -243,9 +239,9 @@ def _check_inputs(m: PetriModel, config: SweepConfig, points) -> list:
     return each point's parameters merged over the overrides and the model's."""
     check_ranges(EstimateError, dt=config.dt, max_t=config.max_t,
                  conv_tol=config.conv_tol)
-    for name in _names(config.susceptible):
-        if not m.is_place(name):
-            raise EstimateError(f"susceptible place {name!r} is not in model {m.name}")
+    if m.kind != "vapn":
+        raise EstimateError(f"model {m.name} is of kind {m.kind}; a sweep runs "
+                            f"vapn models only")
     if not sum(_marking(m, _start(m, config), EstimateError)) > 0:
         raise EstimateError("marking0 sums to zero: there is no population")
     return [m.merged_params({**config.overrides, **point}, EstimateError)
@@ -288,7 +284,7 @@ def sweep(m: PetriModel, grid: dict, config: SweepConfig | None = None) -> Sweep
                 raise EstimateError(
                     f"clipping at zero created tokens in {traj.clipping_events} "
                     f"place-steps of the run; use a smaller dt (--dt)")
-            est = attack_rate_r0(traj, config.susceptible, n,
+            est = attack_rate_r0(traj, susceptible_places(m), n,
                                  conv_tol=config.conv_tol)
             if res.r0 <= 0:
                 raise EstimateError(f"nonpositive algebraic R0: {res.r0}")

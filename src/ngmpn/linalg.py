@@ -135,6 +135,21 @@ def basic_solution(a, b):
     return x, len(pivot_cols), pivot_cols
 
 
+def left_null_vectors(a):
+    """Yield a basis of the vectors y with y^T a = 0. Each row of a whose
+    column of a^T has no pivot gives one: its own entry 1, the pivot rows'
+    entries solving a^T y = 0 and the others 0, then scaled so that its
+    entry of largest magnitude is 1."""
+    at = [list(col) for col in zip(*a)]
+    _, _, pivots = basic_solution(at, [0.0] * len(at))
+    for c in range(len(a)):
+        if c not in pivots:
+            y, _, _ = basic_solution(at, [-row[c] for row in at])
+            y[c] = 1.0
+            top = max(y, key=abs)
+            yield [v / top for v in y]
+
+
 # ------------------------------------------------------------- eigenvalues
 
 def _balance(a):

@@ -42,7 +42,6 @@ class ZooEntry(NamedTuple):
     id: str
     kind: str
     description: str
-    susceptible: str
     params: dict                # name -> ParamSpec
     closed_form: str | None
     file: str
@@ -59,8 +58,8 @@ def _load() -> dict:
         params = {name: ParamSpec(spec["default"], spec["range"][0], spec["range"][1])
                   for name, spec in raw["params"].items()}
         entries[raw["id"]] = ZooEntry(
-            raw["id"], raw["kind"], raw["description"], raw["susceptible"],
-            params, raw["closed_form"], raw["file"])
+            raw["id"], raw["kind"], raw["description"], params,
+            raw["closed_form"], raw["file"])
     return entries
 
 

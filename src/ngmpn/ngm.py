@@ -124,7 +124,7 @@ class _ModelWork(NamedTuple):
     findings: tuple    # A1-A4; A5 needs parameter values
     dfe_places: tuple  # non-infected places
     dfe_init: tuple    # their initial values
-    susceptible: tuple  # positions in dfe_places of the inputs of infections
+    susceptible: tuple  # non-infected inputs of infections, in declaration order
     total: float       # sum of every place's initial value
     fv: Callable       # generated _fv, see _r0_functions
     dfe: Callable      # generated _dfe
@@ -175,8 +175,16 @@ def _derive(m: PetriModel) -> _ModelWork:
     fns = _r0_functions(m, _jacobian(f_rows, infected), _jacobian(v_rows, infected),
                         dfe_places, dfe_flows, _jacobian(dfe_flows, dfe_places))
     return _ModelWork(script_f, script_v, findings, dfe_places, dfe_init,
-                      tuple(j for j, p in enumerate(dfe_places) if p in inputs),
+                      tuple(p for p in dfe_places if p in inputs),
                       sum(p.init for p in m.places), fns["_fv"], fns["_dfe"])
+
+
+def susceptible_places(m: PetriModel) -> tuple:
+    """The model's susceptible places, the non-infected inputs of its
+    infection transitions, in declaration order: the places that hold the
+    infected tokens at a DFE of a continuum, and whose depletion the final
+    size of an outbreak measures."""
+    return per_model(m, _derive).susceptible
 
 
 def _r0_functions(m: PetriModel, jf, jv, dfe_places, dfe_flows, dfe_jac) -> dict:
@@ -237,15 +245,18 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
     non-negative number. The other non-infected places are the unknowns,
     solved for by one damped-Newton path that starts from the initial
     marking. If the flow Jacobian there is rank deficient, the equilibria form
-    a continuum: a token-conservation row (the unknowns sum to the initial
-    total less the pins) joins the system, and the tokens the unknowns lack
-    go to the free susceptible places (the non-infected inputs of infection
-    transitions) in proportion to their marking, or to every unknown alike
-    where no susceptible place is free, as R0 counts infections in a wholly
-    susceptible population. Declaration order matters only where the flows
-    conserve more than one total and Newton must still move from there: its
-    steps are then basic solutions favouring earlier declarations. With
-    every place pinned there are no unknowns and no steps.
+    a continuum: the tokens the unknowns lack (the initial total less the
+    pins and the unknowns' values) go to the free susceptible places (the
+    non-infected inputs of infection transitions) in proportion to their
+    marking, or to every unknown alike where no susceptible place is free,
+    as R0 counts infections in a wholly susceptible population. Where the
+    flows there are not at an equilibrium, one token-conservation row per
+    total they conserve (a left null vector y of their Jacobian over the
+    unknowns) joins the system and holds y.u where the move left it.
+    Declaration order matters only where the flows and their conserved
+    totals still leave a continuum at a Newton iterate: its steps are basic
+    solutions favouring earlier declarations. With every place pinned there
+    are no unknowns and no steps.
     A value below zero by at most 1e-9 of the largest value is snapped to
     zero, with a note. Fails loudly when Newton stalls or does not converge,
     when a component turns negative, or when the final net flows, relative to
@@ -276,19 +287,20 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
     cols = [j for j, name in enumerate(w.dfe_places) if name not in pinned]
     unknowns = [w.dfe_places[j] for j in cols]
     values = [pinned.get(name, v) for name, v in zip(w.dfe_places, w.dfe_init)]
-    target = w.total - sum(pinned.values())
-    weight = 0.0    # of the conservation row; 0.0 until the row is added
+    weight = 0.0    # of the conservation rows; 0.0 unless jac is rank deficient
+    held = []       # the conservation rows: a weighted y over u and the y.u it holds
 
     def system(u):
         """Residuals, flow scale and Jacobian over the unknowns at u: the
-        flows, then the conservation row once it has been added."""
+        flows, then the conservation rows once they have been added."""
         for j, v in zip(cols, u):
             values[j] = v
         f, scale, jac = call(m, NgmError, w.dfe, values, bound.values())
         if pinned:
             jac = [[row[j] for j in cols] for row in jac]
-        if weight:
-            f, jac = f + [weight * (sum(u) - target)], jac + [[weight] * len(u)]
+        for row, held_at in held:
+            f.append(sum(a * b for a, b in zip(row, u)) - held_at)
+            jac.append(row)
         return f, scale, jac
 
     u = [values[j] for j in cols]
@@ -305,12 +317,20 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
         # the tokens the unknowns lack go to the free susceptible places (to
         # every unknown where none is free), in proportion to their values or
         # in equal shares where those are all 0
-        free = [k for k, j in enumerate(cols) if j in w.susceptible] or range(len(u))
-        lack, have = target - sum(u), sum(u[k] for k in free)
+        free = [k for k, p in enumerate(unknowns) if p in w.susceptible] or range(len(u))
+        lack, have = w.total - sum(values), sum(u[k] for k in free)
         for k in free:
             u[k] += lack * u[k] / have if have else lack / len(free)
         f, scale, jac = system(u)
         step = None
+        # where the moved marking is not yet an equilibrium, Newton must
+        # move; each total the flows conserve is held where the move left
+        # it, so that no basic solution picks a free direction by the order
+        if max(map(abs, f)) > DFE_TOL * scale:
+            for y in linalg.left_null_vectors([jac[j] for j in cols]):
+                row = [weight * v for v in y]
+                held.append((row, sum(a * b for a, b in zip(row, u))))
+            f, scale, jac = system(u)
     method = ("annotated" if pinned or not unknowns else
               "conservation-augmented" if weight else "newton")
 
@@ -359,19 +379,9 @@ def compute_dfe(m: PetriModel, constraints=None, params=None) -> DfeResult:
 
 def _drift(places, f, scale, jac):
     """A Drift from the flows f, their scale and their Jacobian jac over the
-    unknowns, or None. Each flow whose column of jac^T has no pivot gives a
-    left null vector y of jac, its own weight 1 and the pivot flows' weights
-    solving jac^T y = 0; the first y whose y^T f exceeds DFE_TOL times the
-    flow scale is the drift."""
-    jt = [list(col) for col in zip(*jac)]
-    _, _, pivots = linalg.basic_solution(jt, [0.0] * len(jt))
-    for c in range(len(f)):
-        if c in pivots:
-            continue
-        y, _, _ = linalg.basic_solution(jt, [-row[c] for row in jt])
-        y[c] = 1.0
-        top = max(y, key=abs)
-        y = [v / top for v in y]
+    unknowns, or None: the first left null vector y of jac whose y^T f
+    exceeds DFE_TOL times the flow scale is the drift."""
+    for y in linalg.left_null_vectors(jac):
         rate = sum(a * b for a, b in zip(y, f))
         if abs(rate) > DFE_TOL * scale:
             return Drift({p: v for p, v in zip(places, y) if v != 0.0}, rate)

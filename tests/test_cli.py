@@ -261,10 +261,12 @@ def test_sweep_output_file_and_stdout_summary(tmp_path, capsys):
 
 
 def test_sweep_has_no_jobs_option(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1", "--jobs", "2"])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    # nor a susceptible option: the model's roles decide those places
+    for option in (["--jobs", "2"], ["--susceptible", "S"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1", *option])
+        assert exc.value.code == 2
+        assert option[0] in capsys.readouterr().err
 
 
 def test_validate_has_no_param_option(capsys):
@@ -281,7 +283,7 @@ def test_sweep_options_not_given_take_the_configs_defaults(capsys, monkeypatch):
                         or sweep(m, grid, config))
     code, _, _ = run(capsys, "sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1")
     assert code == 0
-    fields = ("dt", "conv_tol", "max_t", "susceptible")
+    fields = ("dt", "conv_tol", "max_t")
     assert [getattr(configs[0], f) for f in fields] == \
         [getattr(SweepConfig(), f) for f in fields]
 
@@ -512,8 +514,9 @@ ERROR_CASES = {
                        "--seed", "-1"], 1),
     "negative_seed_replicates": (["simulate", "--builtin", "sirs_spn", "--t-end", "1",
                                   "--seed", "-1", "--replicates", "2"], 1),
-    "unknown_susceptible": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:0.3:1",
-                             "--susceptible", "Q"], 1),
+    # the sweep's simulator is deterministic
+    "sweep_spn": (["sweep", "--builtin", "sirs_spn", "--grid", "beta=0.3:0.4:2",
+                   "-p", "delta=0"], 1),
     # a grid value that is not finite is the spec's fault, not the model's
     "grid_bound_overflows": (["sweep", "--builtin", "sirs", "--grid", "beta=0.3:1e400:2",
                               "-p", "delta=0"], 2),

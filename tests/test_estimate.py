@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from ngmpn import codegen, estimate, ngm, sim
 from ngmpn.estimate import (EstimateError, SweepConfig, attack_rate_r0,
                             converged_run, rrmse, sweep)
-from ngmpn.modelzoo import builtin, zoo_entry
-from ngmpn.petri import classify_transitions, net_flow, parse_model
+from ngmpn.modelzoo import builtin
+from ngmpn.petri import PetriModel, classify_transitions, net_flow, parse_model
 from ngmpn.sim import Trajectory
 
 # final sizes of ln(1/s) = r0*(1 - s) for the r0 values used below,
@@ -120,6 +120,8 @@ def test_estimator_input_validation():
         attack_rate_r0(Trajectory(("S",), (0.0,), ((1.0,),)), "S", 1.0)
     with pytest.raises(EstimateError):
         attack_rate_r0(traj, "S", 0.5)   # s0 above stated n
+    with pytest.raises(EstimateError, match="negative susceptible count"):
+        attack_rate_r0(plateau_traj(1.0, -0.1), "S", 1.0)
 
 
 # ------------------------------------------------------------------- rrmse
@@ -167,6 +169,8 @@ def test_converged_run_keeps_initial_sample():
     assert traj.markings[0] == (999999.0, 1.0, 0.0)
     est = attack_rate_r0(traj, "S", 1e6)
     assert est.r0_hat == pytest.approx(3.0, rel=2e-3)
+    with pytest.raises(EstimateError, match="max_t too small for a single chunk"):
+        converged_run(m, ngm.ngm_r0(m, params=params), cfg._replace(max_t=0.0))
 
 
 def test_estimate_insensitive_to_dt_refinement():
@@ -352,11 +356,24 @@ def test_sweep_derives_parameter_free_work_once(monkeypatch):
     ("seeir", {"beta": [0.5]}),
     ("covid", {"beta_a": [0.3]}),
     ("patch2", {"beta1": [0.3]}),
+    ("vectorborne", {"beta_hv": [0.004]}),
 ])
 def test_one_point_sweep_on_a_model_with_several_infected_places(mid, grid):
-    # converged_run takes the eigenvalues of ngm_r0's V, a tuple of tuples
-    report = sweep(builtin(mid), grid, SweepConfig(susceptible=zoo_entry(mid).susceptible))
+    # converged_run takes the eigenvalues of ngm_r0's V, a tuple of tuples;
+    # patch2 and vectorborne have two susceptible places each
+    report = sweep(builtin(mid), grid)
     assert [row.error for row in report.rows] == [None]
+
+
+def test_sweep_of_a_net_without_infections_records_a_zero_r0():
+    # infect declared a transfer: no susceptible place, and F = 0
+    m = builtin("sirs")
+    m = PetriModel(m.name, m.kind, m.places,
+                   tuple(t._replace(kind_override="transfer") if t.name == "infect" else t
+                         for t in m.transitions), m.arcs, m.params)
+    report = sweep(m, {"beta": [0.3, 0.4]})
+    assert [row.error for row in report.rows] == \
+        ["EstimateError: nonpositive algebraic R0: 0.0"] * 2
 
 
 def test_sweep_rejects_empty_grid():
@@ -364,27 +381,27 @@ def test_sweep_rejects_empty_grid():
         sweep(builtin("sirs"), {})
 
 
-@pytest.mark.parametrize("config,grid", [
-    (SweepConfig(max_t=math.inf), {"beta": [0.3]}),
-    (SweepConfig(dt=0.0), {"beta": [0.3]}),
-    (SweepConfig(conv_tol=-1.0), {"beta": [0.3]}),
-    (SweepConfig(susceptible=("S", "Q")), {"beta": [0.3]}),
-    (SweepConfig(overrides={"zeta": 1.0}), {"beta": [0.3]}),
-    (SweepConfig(), {"beta": [0.3, math.inf]}),
-    (SweepConfig(), {"beta": ["fast"]}),
-    (SweepConfig(marking0=(math.nan, 1.0, 0.0)), {"beta": [0.3]}),
-    (SweepConfig(marking0=(math.inf, 1.0, 0.0)), {"beta": [0.3]}),
-    (SweepConfig(marking0=(999.0, -1.0, 0.0)), {"beta": [0.3]}),
-    (SweepConfig(marking0=(999.0, 1.0)), {"beta": [0.3]}),
-    (SweepConfig(marking0=(0.0, 0.0, 0.0)), {"beta": [0.3]}),
+@pytest.mark.parametrize("mid,config,grid", [
+    ("sirs", SweepConfig(max_t=math.inf), {"beta": [0.3]}),
+    ("sirs", SweepConfig(dt=0.0), {"beta": [0.3]}),
+    ("sirs", SweepConfig(conv_tol=-1.0), {"beta": [0.3]}),
+    ("sirs", SweepConfig(overrides={"zeta": 1.0}), {"beta": [0.3]}),
+    ("sirs", SweepConfig(), {"beta": [0.3, math.inf]}),
+    ("sirs", SweepConfig(), {"beta": ["fast"]}),
+    ("sirs", SweepConfig(marking0=(math.nan, 1.0, 0.0)), {"beta": [0.3]}),
+    ("sirs", SweepConfig(marking0=(math.inf, 1.0, 0.0)), {"beta": [0.3]}),
+    ("sirs", SweepConfig(marking0=(999.0, -1.0, 0.0)), {"beta": [0.3]}),
+    ("sirs", SweepConfig(marking0=(999.0, 1.0)), {"beta": [0.3]}),
+    ("sirs", SweepConfig(marking0=(0.0, 0.0, 0.0)), {"beta": [0.3]}),
+    ("sirs_spn", SweepConfig(overrides={"delta": 0.0}), {"beta": [0.3, 0.4]}),
 ], ids=["max_t_inf", "dt_zero", "conv_tol_negative",
-        "unknown_susceptible", "unknown_override", "grid_inf", "grid_not_a_number",
+        "unknown_override", "grid_inf", "grid_not_a_number",
         "marking0_nan", "marking0_inf", "marking0_negative", "marking0_short",
-        "marking0_empty"])
-def test_sweep_checks_inputs_before_any_point(config, grid, monkeypatch):
+        "marking0_empty", "spn_model"])
+def test_sweep_checks_inputs_before_any_point(mid, config, grid, monkeypatch):
     monkeypatch.setattr("ngmpn.estimate.ngm_r0", None)   # no point may run
     with pytest.raises(EstimateError):
-        sweep(builtin("sirs"), grid, config)
+        sweep(builtin(mid), grid, config)
 
 
 def test_sweep_runs_chunks_as_long_as_the_slowest_transfer(monkeypatch):

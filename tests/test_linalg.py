@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngmpn.linalg import (SingularMatrixError, basic_solution, eigenvalues,
-                          invert, mat_mul, spectral_radius_of)
+from ngmpn.linalg import (LinalgError, SingularMatrixError, basic_solution,
+                          eigenvalues, invert, left_null_vectors, mat_mul,
+                          spectral_radius_of)
 
 
 def square(n, rng, scale=5.0):
@@ -97,6 +98,18 @@ def test_basic_solution_skips_zero_column():
     assert rank == 1 and list(pivots) == [1]
 
 
+def test_left_null_vectors_give_one_vector_per_conserved_total():
+    # two patches, each of whose recovered wane back into its susceptible:
+    # rows and columns S1, R1, S2, R2, so S1 + R1 and S2 + R2 are conserved
+    w = 0.5
+    a = [[0.0, w, 0.0, 0.0], [0.0, -w, 0.0, 0.0],
+         [0.0, 0.0, 0.0, w], [0.0, 0.0, 0.0, -w]]
+    assert list(left_null_vectors(a)) == [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]
+    # scaled so that the entry of largest magnitude is 1, whatever its sign
+    assert list(left_null_vectors([[1.0], [2.0]])) == [[1.0, -0.5]]
+    assert list(left_null_vectors([[1.0, 0.0], [0.0, 1.0]])) == []
+
+
 @st.composite
 def systems(draw):
     """(a, b): an nrow x ncol matrix, square or not, of full rank or not, and
@@ -143,6 +156,11 @@ def test_eigenvalues_diagonal():
     eigs = eigenvalues([[2.0, 0.0], [0.0, -3.0]])
     assert sorted(z.real for z in eigs) == pytest.approx([-3.0, 2.0])
     assert all(z.imag == pytest.approx(0.0, abs=1e-12) for z in eigs)
+
+
+def test_eigenvalues_refuse_a_non_finite_entry():
+    with pytest.raises(LinalgError, match="non-finite entry"):
+        eigenvalues([[math.nan]])
 
 
 def test_eigenvalues_offdiagonal_fixture():

@@ -7,6 +7,7 @@ import pytest
 
 from ngmpn.modelzoo import (ZooError, builtin, oracle_r0, zoo_entries,
                             zoo_entry, zoo_ids)
+from ngmpn import ngm
 from ngmpn.ngm import ngm_r0
 
 FROZEN_ORACLE = {
@@ -44,7 +45,7 @@ def test_entries_are_well_formed():
         assert e.description
         m = builtin(e.id)
         assert m.kind == e.kind
-        assert e.susceptible in m.place_names()
+        assert ngm.susceptible_places(m)
         for name, spec in e.params.items():
             assert spec.lo <= spec.default <= spec.hi, (e.id, name)
 

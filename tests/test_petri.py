@@ -66,6 +66,10 @@ def test_parse_spn():
     assert m.kind == "spn"
     assert m.arcs[2].mult == 2
     assert to_text(m.transition("infect").rate) == "beta*S*I/N"
+    with pytest.raises(ModelError, match="unknown place: Q"):
+        m.place_index("Q")
+    with pytest.raises(ModelError, match="unknown transition: spread"):
+        m.transition("spread")
 
 
 @pytest.mark.parametrize("mangle,fragment", [
