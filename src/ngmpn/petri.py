@@ -27,6 +27,7 @@ any expression it denotes the sum of all place markings.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from typing import NamedTuple
@@ -405,22 +406,45 @@ class Finding(NamedTuple):
         return {"code": self.code, "status": self.status, "detail": self.detail}
 
 
-# how many random positive bindings _sampled_sign tries
-SIGN_DRAWS = 50
+# the values _sampled_sign gives each free place, and the most points it
+# evaluates an expression at
+SIGN_VALUES = (0.1, 1.0, 10.0)
+SIGN_POINTS = 729
+
+
+def _sign_points(k: int) -> set:
+    """Points of SIGN_VALUES**k, for k free places: those equal to a
+    constant point but in at most r coordinates, for the largest r that
+    keeps them within SIGN_POINTS. Up to six places (3**6 = 729) that is
+    the full factorial. Every permutation of the coordinates maps the set
+    onto itself, so no order of the places decides what it holds."""
+    points: set = set()
+    for r in range(k + 1):
+        grown = set(points)
+        for base, changed in itertools.product(SIGN_VALUES,
+                                               itertools.combinations(range(k), r)):
+            for values in itertools.product(SIGN_VALUES, repeat=r):
+                point = [base] * k
+                for i, v in zip(changed, values):
+                    point[i] = v
+                grown.add(tuple(point))
+                if len(grown) > SIGN_POINTS:
+                    return points
+        points = grown
+    return points
 
 
 def _sampled_sign(m: PetriModel, e: Expr) -> float:
-    """Largest value of e over random positive bindings (params fixed)."""
-    import random as _random
-    rng = _random.Random(20260814)
-    names = sorted(free_symbols(e))
-    worst = -float("inf")
-    for _ in range(SIGN_DRAWS):
+    """Largest value of e over the points of _sign_points given to its free
+    places (params fixed, N their total with 1.0 for every other place).
+    Neither the names nor the declaration order of the places change it."""
+    places = [n for n in free_symbols(e) if n not in m.params and n != RESERVED_TOTAL]
+    others = len(m.places) - len(places)
+    worst = -math.inf
+    for point in _sign_points(len(places)):
         b = dict(m.params)
-        for n in names:
-            if n not in b:
-                b[n] = rng.uniform(0.1, 10.0)
-        b[RESERVED_TOTAL] = sum(b.get(p.name, 1.0) for p in m.places)
+        b.update(zip(places, point))
+        b[RESERVED_TOTAL] = math.fsum(point) + others
         try:
             worst = max(worst, eval_expr(e, b))
         except (EvalError, ArithmeticError):

@@ -30,15 +30,42 @@ more than MAX_SAMPLES samples (checked before the run starts) and a run that
 passes MAX_EVENTS events.
 
 Both simulators compile their whole loop to Python source once per model
-(codegen.per_model) and take the parameter values as an argument. The
-weights and rates are written by codegen.emit, so each gives the bits
-eval_expr gives on the same marking. The vapn stepper runs in blocks of
-sample_every steps and records a sample after each full block, so no step
-tests whether to sample; each step computes the total N only when a weight
-reads it, then each distinct sum and weight once, then updates every place
-in place. Where eval_expr would raise (a division by zero, a negative base
-under a fractional power, an overflowing power) the generated code raises
-too, and codegen.call raises the error as SimError naming the model.
+(codegen.per_model; the vapn stepper once per set of switched-off arcs, see
+below) and take the parameter values as an argument. The weights and rates
+are written by codegen.emit, so each gives the bits eval_expr gives on the
+same marking. The vapn stepper runs in blocks of sample_every steps and
+records a sample after each full block, so no step tests whether to sample;
+each step computes the total N only when a weight reads it, then each
+distinct sum and weight once, then updates every place in place. Where
+eval_expr would raise (a division by zero, a negative base under a
+fractional power, an overflowing power) the generated code raises too, and
+codegen.call raises the error as SimError naming the model.
+
+A parameter at 0 often switches arcs off: a sweep closes the population by
+setting births, deaths and waning to 0. So the vapn stepper is compiled once
+per model and set of switched-off weights, and a run uses the one its
+parameter values select. A weight is switched off when it is a parameter
+at +-0.0, or a product whose first factor is that parameter and whose other
+factors are places, parameters or finite constants; the stepper without it
+leaves it out of every sum, writes a place left with no inflow as
+x - _dt*(outs) and one with no outflow as x + _dt*(ins), and does not touch
+a place left with neither. Its runs give the general stepper's bits:
+- On a finite marking such a weight is a signed zero, since the product
+  starts from the zero and multiplies it by finite factors left to right.
+  Adding a signed zero to a sum leaves a non-zero sum as it is and a zero
+  sum a zero, a term added to a zero of either sign gives the same result,
+  and 0.0 - y is -y but for the sign of a zero, so each place's increment
+  dt*(ins - outs) has the same bits in both steppers or is a zero in both.
+  Nor can a weight left out raise: float products do not.
+- A zero increment leaves x as it is unless x is -0.0, where the general
+  stepper's -0.0 + 0.0 gives 0.0. No step makes a -0.0, since x + y is
+  -0.0 only when x is, so a run whose starting marking holds no -0.0 never
+  meets one; a run whose starting marking does hold one uses the general
+  stepper.
+- So both steppers agree, clips and errors included, for as long as the
+  marking stays finite. A place that turns inf or NaN stays so to the end,
+  where run_vapn raises SimError. Any SimError from the specialised stepper
+  therefore runs the call again on the general one, whose outcome stands.
 """
 from __future__ import annotations
 
@@ -51,7 +78,7 @@ from typing import NamedTuple
 from .codegen import (assignments, call, emit, generated, per_model, symbol_table,
                       targets)
 from .errors import NgmpnError
-from .expr import free_symbols
+from .expr import Constant, Mul, Symbol, free_symbols
 from .petri import PetriModel, RESERVED_TOTAL
 
 
@@ -156,7 +183,75 @@ def _marking(m: PetriModel, marking, error=SimError) -> tuple:
 
 # ----------------------------------------------------------- deterministic
 
-def _build_vapn(m: PetriModel):
+def _switch(weight, position: dict):
+    """The position of the parameter whose zero value switches `weight`
+    off, or None; `position` maps each parameter name to its position.
+
+    That is a weight that is the parameter itself, or a product whose first
+    factor it is and whose other factors are places, parameters or finite
+    constants. Evaluated left to right on a finite marking, such a product
+    of a zero is a zero; a factor N is not allowed, since the total of
+    finite places can overflow, nor a zero after other factors, whose
+    product can overflow, as inf times zero is NaN.
+    """
+    first, rest = (weight, ()) if type(weight) is not Mul \
+        else (weight.factors[0], weight.factors[1:])
+    if type(first) is not Symbol or first.name not in position:
+        return None
+    for f in rest:
+        if not (type(f) is Symbol and f.name != RESERVED_TOTAL
+                or type(f) is Constant and math.isfinite(f.value)):
+            return None
+    return position[first.name]
+
+
+def _update(x: str, ins: list, outs: list, general: bool) -> list:
+    """Source lines of one place's Euler update and clip. The general
+    stepper writes every place as x + _dt*((ins) - (outs)); the others leave
+    out an empty side, and a place with neither."""
+    i, o = " + ".join(ins), " + ".join(outs)
+    if general or (ins and outs):
+        new = f"{x} + _dt*(({i or '0.0'}) - ({o or '0.0'}))"
+    elif outs:
+        new = f"{x} - _dt*({o})"
+    elif ins:
+        new = f"{x} + _dt*({i})"
+    else:
+        return []
+    return [f"{x} = {new}", f"if {x} < 0.0:", f"    {x} = 0.0; _clips += 1"]
+
+
+class _Steppers:
+    """The Euler steppers of one vapn model, each compiled on first use.
+
+    `source(dropped)` writes the stepper that leaves out the weights named
+    in the frozenset `dropped`; the empty set gives the general stepper,
+    which calling this object runs. `switches` pairs the position of a
+    parameter with a weight that its zero value switches off.
+    """
+    __slots__ = ("switches", "source", "what", "built")
+
+    def __init__(self, switches: tuple, source, what: str):
+        self.switches = switches
+        self.source = source
+        self.what = what
+        self.built: dict = {}
+
+    def __call__(self, *args):
+        return self.stepper(frozenset())(*args)
+
+    def dropped(self, p: tuple) -> frozenset:
+        """The weights that the parameter values p switch off."""
+        return frozenset(w for k, w in self.switches if p[k] == 0.0)
+
+    def stepper(self, dropped: frozenset):
+        run = self.built.get(dropped)
+        if run is None:
+            run = self.built[dropped] = generated(self.source(dropped), self.what)["_run"]
+        return run
+
+
+def _build_vapn(m: PetriModel) -> _Steppers:
     if m.kind != "vapn":
         raise SimError(f"model {m.name} is not a vapn")
     names = symbol_table(m)
@@ -164,35 +259,41 @@ def _build_vapn(m: PetriModel):
     place_vars = [names[p.name] for p in m.places]
     unpack = targets(place_vars)
     params = targets([names[k] for k in m.params])
+    position = {k: i for i, k in enumerate(m.params)}
 
     # each distinct weight and sum once: a transfer carries the same weight
     # on its input and its output arc, and equal source gives equal bits
     sums: dict = {}
     weights: dict = {}
+    switches: dict = {}
     inflow = {p.name: [] for p in m.places}
     outflow = {p.name: [] for p in m.places}
     for arc in m.arcs:
         code = emit(arc.weight, names, sums)
         w = weights.setdefault(code, f"_w{len(weights)}")
+        k = _switch(arc.weight, position)
+        if k is not None:
+            switches[w] = k
         if arc.target in inflow:
             inflow[arc.target].append(w)
         else:
             outflow[arc.source].append(w)
-    step = ([f"{total} = {' + '.join(place_vars)}"]
+    # no weight that a parameter switches off reads N or a sum
+    head = ([f"{total} = {' + '.join(place_vars)}"]
             if any(RESERVED_TOTAL in free_symbols(arc.weight) for arc in m.arcs) else [])
-    step += assignments(sums) + [f"{w} = {code}" for code, w in weights.items()]
-    # every weight is computed before any place changes, and each place's new
-    # value reads only its own old value and the weights, so a place can be
-    # updated where it stands
-    for x, p in zip(place_vars, m.places):
-        ins = " + ".join(inflow[p.name]) or "0.0"
-        outs = " + ".join(outflow[p.name]) or "0.0"
-        step += [f"{x} = {x} + _dt*(({ins}) - ({outs}))",
-                 f"if {x} < 0.0:",
-                 f"    {x} = 0.0; _clips += 1"]
+    head += assignments(sums)
+    flows = [(x, inflow[p.name], outflow[p.name]) for x, p in zip(place_vars, m.places)]
 
-    body = "\n            ".join(step)
-    src = f"""
+    def source(dropped: frozenset) -> str:
+        # every weight is computed before any place changes, and each place's
+        # new value reads only its own old value and the weights, so a place
+        # can be updated where it stands
+        step = head + [f"{w} = {code}" for code, w in weights.items() if w not in dropped]
+        for x, ins, outs in flows:
+            step += _update(x, [w for w in ins if w not in dropped],
+                            [w for w in outs if w not in dropped], not dropped)
+        body = "\n            ".join(step or ["pass"])
+        return f"""
 def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0, _p):
     ({unpack}) = map(float, _mk)
     ({params}) = _p
@@ -208,7 +309,8 @@ def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0, _p):
             _mapp(({unpack}))
     return ({unpack}), _clips
 """
-    return generated(src, f"vapn stepper {m.name}")["_run"]
+    return _Steppers(tuple((k, w) for w, k in switches.items()), source,
+                     f"vapn stepper {m.name}")
 
 
 def step_vapn(m: PetriModel, marking, dt: float, params=None):
@@ -235,36 +337,48 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
                        f"than {MAX_STEPS}; use a larger dt")
     _check_samples(span / dt / sample_every)
     p = _param_values(m, params)
-    runner = per_model(m, _build_vapn)
+    steppers = per_model(m, _build_vapn)
     marking = _marking(m, marking0 if marking0 is not None else m.initial_marking())
 
     nsteps = int(math.floor(span / dt + 1e-9))
     remainder = span - nsteps * dt
 
-    times = [t0]
-    markings = [marking]
-    final, clips = call(m, SimError, runner, marking, nsteps, dt, sample_every,
-                        times.append, markings.append, t0, p)
-    t = t0 + nsteps * dt
-    # a remainder within rounding of a whole step is no step; with no whole
-    # step (dt > span) the remainder is the span, and always stepped
-    if remainder > 1e-9 * min(dt, span):
-        # one step of the loop; with _every = 2 > _nsteps = 1 it records no sample
-        final, c2 = call(m, SimError, runner, final, 1, remainder, 2, None, None, 0.0, p)
-        clips += c2
-        t = t_end
-    # a place that is not finite stays so (only -inf is clipped, and counted),
-    # so the final marking shows whether any step overflowed
-    for place, v in zip(m.places, final):
-        if not math.isfinite(v):
-            raise SimError(f"model {m.name}: the marking of place {place.name!r} "
-                           f"is {v} at t={t:.6g}; the run overflowed")
-    if times[-1] != t:
-        times.append(t)
-        markings.append(final)
-    return Trajectory(m.place_names(), tuple(times), tuple(markings),
-                      clipping_events=clips,
-                      metadata={"kind": "vapn", "dt": dt})
+    def euler(runner):
+        times = [t0]
+        markings = [marking]
+        final, clips = call(m, SimError, runner, marking, nsteps, dt, sample_every,
+                            times.append, markings.append, t0, p)
+        t = t0 + nsteps * dt
+        # a remainder within rounding of a whole step is no step; with no whole
+        # step (dt > span) the remainder is the span, and always stepped
+        if remainder > 1e-9 * min(dt, span):
+            # one step of the loop; with _every = 2 > _nsteps = 1 it records no sample
+            final, c2 = call(m, SimError, runner, final, 1, remainder, 2, None, None,
+                             0.0, p)
+            clips += c2
+            t = t_end
+        # a place that is not finite stays so (only -inf is clipped, and
+        # counted), so the final marking shows whether any step overflowed
+        for place, v in zip(m.places, final):
+            if not math.isfinite(v):
+                raise SimError(f"model {m.name}: the marking of place {place.name!r} "
+                               f"is {v} at t={t:.6g}; the run overflowed")
+        if times[-1] != t:
+            times.append(t)
+            markings.append(final)
+        return Trajectory(m.place_names(), tuple(times), tuple(markings),
+                          clipping_events=clips,
+                          metadata={"kind": "vapn", "dt": dt})
+
+    # the stepper without the weights that zero parameters switch off gives
+    # the general stepper's bits or a SimError (see the module docstring)
+    dropped = steppers.dropped(p)
+    if dropped and not any(math.copysign(1.0, v) < 0.0 for v in marking):
+        try:
+            return euler(steppers.stepper(dropped))
+        except SimError:
+            pass    # the general stepper's outcome stands
+    return euler(steppers.stepper(frozenset()))
 
 
 # -------------------------------------------------------------- stochastic

@@ -352,6 +352,34 @@ def test_sweep_derives_parameter_free_work_once(monkeypatch):
     assert list(codegen._built[m]) == [ngm._derive, sim._build_vapn]
 
 
+def test_steppers_are_compiled_once_per_set_of_switched_off_arcs(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(sim, "generated", lambda src, what, **helpers:
+                        compiled.append(what) or codegen.generated(src, what, **helpers))
+
+    def fresh_sirs():
+        m = builtin("sirs")
+        return PetriModel(m.name, m.kind, m.places, m.transitions, m.arcs, m.params)
+
+    # delta = 0 switches off waning at every point: that stepper alone
+    grid = {"beta": [0.25, 0.3, 0.35, 0.4], "gamma": [0.08, 0.1, 0.12, 0.14]}
+    report = sweep(fresh_sirs(), grid, SweepConfig(overrides={"delta": 0.0}))
+    assert report.failures == 0 and len(report.rows) == 16
+    assert compiled == ["vapn stepper sirs"]
+
+    # a delta axis through 0.0 (and -0.0): that stepper and the general one
+    compiled.clear()
+    m = fresh_sirs()
+    report = sweep(m, {"beta": [0.3], "delta": [0.0, -0.0, 1e-9, 2e-9]})
+    assert report.failures == 0
+    assert compiled == ["vapn stepper sirs"] * 2
+
+    # beta divides by N, so beta = 0 switches nothing off: no new stepper
+    compiled.clear()
+    sim.run_vapn(m, 1.0, params={"beta": 0.0, "delta": 1e-9})
+    assert compiled == []
+
+
 @pytest.mark.parametrize("mid,grid", [
     ("seeir", {"beta": [0.5]}),
     ("covid", {"beta_a": [0.3]}),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ngmpn import NgmpnError, linalg, ngm, run_spn, run_vapn
@@ -787,13 +787,41 @@ def outcomes(text):
     return out
 
 
-@given(kind=st.sampled_from(["vapn", "spn"]), data=st.data())
+# found by the renaming property with random seeds: A3's surplus
+# P0 - 2 - 2*P0*P1 is positive only near P0 = 10, P1 = 0.1, which sampled
+# draws handed out by sorted name reached under some names and not others
+SIGN_NET = """\
+model gen kind=vapn
+param a=0.5
+param b=2.0
+place P0 init=0
+place P1 init=0
+place P2 init=0
+place P3 init=0 infected
+trans t0
+arc P0 -> t0 weight="P0"
+arc P3 -> t0 weight="(P0*P1)"
+arc t0 -> P0 weight="((P0-2)-(P0*P1))"
+arc t0 -> P3 weight="P0"
+"""
+SIGN_NET_NAMES = {"P0": "min", "P1": "max", "P3": "range", "t0": "_s0"}
+
+
+def renaming_cases(kind):
+    """A net of the kind, a renaming of its names and the net declared in
+    another order."""
+    texts = nets(kind) | chains().map(lambda twins: twins[kind == "spn"])
+    return texts.flatmap(lambda text: st.tuples(st.just(text), renamings(text),
+                                                permuted(text)))
+
+
+@given(case=st.sampled_from(["vapn", "spn"]).flatmap(renaming_cases))
+@example(case=(SIGN_NET, SIGN_NET_NAMES, SIGN_NET))
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-def test_renaming_and_reordering_a_net_change_none_of_its_results(kind, data):
+def test_renaming_and_reordering_a_net_change_none_of_its_results(case):
     # every identifier renamed to a builtin, a keyword or a name of the
     # generated code's own: the same results bit for bit, up to the names
-    text = data.draw(nets(kind) | chains().map(lambda twins: twins[kind == "spn"]))
-    names = data.draw(renamings(text))
+    text, names, reordered = case
     base = outcomes(text)
     new = outcomes(renamed(text, names))
     assert [len(o) for o in new] == [len(o) for o in base]
@@ -804,7 +832,7 @@ def test_renaming_and_reordering_a_net_change_none_of_its_results(kind, data):
     # same statuses. Where the flows leave a continuum of DFEs, the infected
     # tokens go to the free susceptible places, which no order decides
     try:
-        a, b = parse_model(text), parse_model(data.draw(permuted(text)))
+        a, b = parse_model(text), parse_model(reordered)
     except ModelError:
         return
     assert ([(f.code, f.status) for f in validate_assumptions(a)]
@@ -822,6 +850,18 @@ def test_renaming_and_reordering_a_net_change_none_of_its_results(kind, data):
     assert rb.r0 == ra.r0 or rel(rb.r0, ra.r0) <= 1e-12, (rb.r0, ra.r0)
     assert [(f.code, f.status) for f in rb.findings] == \
         [(f.code, f.status) for f in ra.findings]
+
+
+def test_a3_reads_violated_under_a_renaming_and_every_place_order():
+    for text in (SIGN_NET, renamed(SIGN_NET, SIGN_NET_NAMES)):
+        lines = text.splitlines()
+        places = [line for line in lines if line.startswith("place ")]
+        head = lines[:lines.index(places[0])]
+        tail = lines[lines.index(places[-1]) + 1:]
+        for order in itertools.permutations(places):
+            m = parse_model("\n".join(head + list(order) + tail) + "\n")
+            a3, = [f for f in validate_assumptions(m) if f.code == "A3"]
+            assert a3.status == "violated", (order, a3.detail)
 
 
 # ----------------------------------------------------------- time rescaling

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from ngmpn import petri
 from ngmpn.expr import eval_expr, to_text
 from ngmpn.petri import (ModelError, classify_transitions, load_model, net_flow,
                          parse_model, validate_assumptions)
@@ -281,6 +283,18 @@ def test_assumption_a3_infection_feeding_a_non_infected_place():
         "arc S -> infect", 'arc I -> infect weight="b*S*I"\narc S -> infect')
     findings = validate_assumptions(parse_model(text))
     assert [f.status for f in findings if f.code == "A3"] == ["satisfied"]
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_sign_points_are_bounded_and_closed_under_permutations(k):
+    points = petri._sign_points(k)
+    if len(petri.SIGN_VALUES) ** k <= petri.SIGN_POINTS:
+        assert points == set(itertools.product(petri.SIGN_VALUES, repeat=k))
+    assert 0 < len(points) <= petri.SIGN_POINTS
+    rng = random.Random(k)
+    for _ in range(5):
+        order = rng.sample(range(k), k)
+        assert {tuple(p[i] for i in order) for p in points} == points
 
 
 def test_finding_as_dict():

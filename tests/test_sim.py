@@ -2,17 +2,21 @@ import io
 import math
 import signal
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ngmpn import codegen, sim
 from ngmpn.expr import eval_expr, parse_expr
-from ngmpn.modelzoo import builtin
+from ngmpn.modelzoo import builtin, zoo_ids
 from ngmpn.ngm import ngm_r0
-from ngmpn.petri import parse_model
+from ngmpn.petri import ModelError, parse_model
 from ngmpn.sim import (SimError, run_spn, run_spn_replicates, run_vapn,
                        step_vapn)
+from nets import nets
 
 SIR_DENSITY = """\
 model sir_density kind=vapn
@@ -821,3 +825,106 @@ def test_place_named_like_the_power_helper_is_renamed():
     m = parse_model(DECAY.replace("place X", "place _pow").replace("X", "_pow")
                     .replace("WEIGHT", "k*_pow^0.5"))
     assert step_vapn(m, (4.0, 0.0), 1.0) == (3.0, 1.0)
+
+
+# ------------------------------------------- steppers without switched-off arcs
+
+# weights a zero mu must not switch off: N can overflow while every place is
+# finite, and so can the product of the places before a zero factor
+GUARDS = """\
+model guards kind=vapn
+param mu=0.01
+param beta=0.5
+place S init=10
+place I init=1 infected
+place R init=0
+trans birth
+arc birth -> S weight="mu*N"
+trans infect
+arc S -> infect weight="beta*S*I"
+arc infect -> I weight="beta*S*I"
+trans die
+arc I -> die weight="S*I*mu"
+arc R -> die weight="mu*R"
+"""
+
+VAPN_ZOO = [mid for mid in zoo_ids() if builtin(mid).kind == "vapn"]
+MARKING_VALUES = st.sampled_from([0.0, 1e-3, 1.0, 7.5, 1e6, 1e200, 1e308, 1.7e308])
+
+
+def run_outcome(run):
+    """A run's times and markings as float.hex, its clip count, or the text
+    of the SimError it ends in."""
+    try:
+        traj = run()
+    except SimError as exc:
+        return str(exc)
+    return ([t.hex() for t in traj.times],
+            [[float(v).hex() for v in mk] for mk in traj.markings],
+            traj.clipping_events)
+
+
+@st.composite
+def zero_arc_runs(draw):
+    """A vapn net (zoo, generated or GUARDS), a random subset of its
+    parameters at 0.0 or -0.0, and a run from a marking with zeros, maybe a
+    -0.0, and values whose total or products overflow."""
+    source = draw(st.sampled_from(["zoo", "generated", "guards"]))
+    if source == "zoo":
+        m = builtin(draw(st.sampled_from(VAPN_ZOO)))
+    else:
+        text = GUARDS if source == "guards" else draw(nets("vapn"))
+        try:
+            m = parse_model(text)
+        except ModelError:
+            assume(False)
+    zeros = draw(st.lists(st.sampled_from(list(m.params)), unique=True))
+    params = {k: draw(st.sampled_from([0.0, -0.0])) for k in zeros}
+    marking = draw(st.lists(MARKING_VALUES, min_size=len(m.places),
+                            max_size=len(m.places)))
+    if draw(st.booleans()):
+        marking[draw(st.integers(0, len(marking) - 1))] = -0.0
+    return (m, params, tuple(marking), draw(st.sampled_from([0.05, 0.5, 40.0])),
+            draw(st.sampled_from([0.0, 2.0, 3.7])), draw(st.sampled_from([1, 3])))
+
+
+@given(zero_arc_runs())
+# N overflows though every place and product is finite: 0*N is NaN
+@example((parse_model(GUARDS), {"mu": 0.0, "beta": 0.0}, (1e308, 1.0, 1e308), 0.5, 2.0, 1))
+# S*I overflows: S*I*0 is NaN
+@example((parse_model(GUARDS), {"mu": 0.0, "beta": 0.0}, (1e200, 1e200, 0.0), 0.5, 2.0, 1))
+# R starts at -0.0 and keeps no arc, where the general stepper gives it 0.0
+@example((parse_model(GUARDS), {"mu": -0.0, "beta": 0.0}, (1.0, 1.0, -0.0), 0.5, 2.0, 1))
+# R overflows to inf, where the general stepper's mu*R makes it NaN
+@example((builtin("nonlinear"), {"mu": 0.0, "gamma": 1e308}, (1.0, 0.0, 1.0, 1.7e308),
+          0.1, 0.5, 1))
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+def test_stepper_without_switched_off_arcs_gives_the_general_steppers_bits(case):
+    # run_vapn leaves out the weights that zero parameters switch off; its
+    # runs must equal, bit for bit, those of the stepper that computes every
+    # weight, errors included
+    m, params, marking, dt, t_end, every = case
+
+    def run():
+        return run_vapn(m, t_end, dt=dt, params=params, marking0=marking,
+                        sample_every=every)
+
+    got = run_outcome(run)
+    with mock.patch.object(sim._Steppers, "dropped", lambda self, p: frozenset()):
+        want = run_outcome(run)
+    assert got == want
+
+
+def test_switched_off_weights_are_a_leading_zero_parameter_times_atoms():
+    def source(m, params):
+        steppers = codegen.per_model(m, sim._build_vapn)
+        return steppers.source(steppers.dropped(sim._param_values(m, params)))
+
+    # mu*R goes and leaves R with no arc; mu*N and S*I*mu stay
+    src = source(parse_model(GUARDS), {"mu": -0.0})
+    assert "mu*R" not in src and "R = " not in src
+    assert "mu*N" in src and "S*I*mu" in src
+    # waning off: S keeps only its outflow and R only its inflow
+    src = source(builtin("sirs"), {"delta": 0.0})
+    assert "delta" not in src.split("= _p")[1]
+    assert "S = S - _dt*(_w0)" in src and "R = R + _dt*(_w1)" in src
