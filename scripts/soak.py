@@ -8,7 +8,7 @@ the time left, and prints every falsifying example hypothesis reports. No
 test's settings change in tests/, and CI does not run this script: what it
 finds depends on the seed and on the host's speed.
 
-Run: PYTHONPATH=src python scripts/soak.py --minutes 10 --seed 1 [-k EXPR]
+Run: PYTHONPATH=src python scripts/soak.py --minutes 10 --seed 1
 Exits 1 if any property failed.
 """
 
@@ -106,13 +106,10 @@ def main() -> int:
     ap.add_argument("--minutes", type=float, required=True,
                     help="total time, shared equally among the properties")
     ap.add_argument("--seed", type=int, required=True, help="hypothesis seed")
-    ap.add_argument("-k", default="", help="pytest -k expression to pick properties")
     args = ap.parse_args()
     soak = Soak(args.minutes * 60.0, args.seed)
     # the plugin does the printing, so pytest's own terminal report is off
     argv = [str(TESTS), "-s", "-p", "no:cacheprovider", "-p", "no:terminal"]
-    if args.k:
-        argv += ["-k", args.k]
     code = pytest.main(argv, plugins=[soak])
     print(f"seed {args.seed}: {len(soak.failed)} failed" + "".join(
         f"\n  {nodeid}" for nodeid in soak.failed))

@@ -406,27 +406,42 @@ class Finding(NamedTuple):
         return {"code": self.code, "status": self.status, "detail": self.detail}
 
 
-# the values _sampled_sign gives each free place, and the most points it
-# evaluates an expression at
-SIGN_VALUES = (0.1, 1.0, 10.0)
+# the range of the values _sampled_sign gives each free place, and the most
+# points it evaluates an expression at
+SIGN_RANGE = (0.1, 10.0)
 SIGN_POINTS = 729
 
 
+def _sign_values(k: int) -> tuple:
+    """n values log-spaced over SIGN_RANGE, for k free places: n the most
+    with n**k within SIGN_POINTS (729 for one place, 27 for two, 9 for
+    three), but never fewer than 3, so 1.0 is among them."""
+    n = 3
+    while k and (n + 1) ** k <= SIGN_POINTS:
+        n += 1
+    lo, hi = (math.log10(v) for v in SIGN_RANGE)
+    return tuple(10.0 ** (lo + (hi - lo) * i / (n - 1)) for i in range(n))
+
+
 def _sign_points(k: int) -> set:
-    """Points of SIGN_VALUES**k, for k free places: those equal to a
-    constant point but in at most r coordinates, for the largest r that
-    keeps them within SIGN_POINTS. Up to six places (3**6 = 729) that is
-    the full factorial. Every permutation of the coordinates maps the set
-    onto itself, so no order of the places decides what it holds."""
+    """Points of _sign_values(k)**k, for k free places: the full factorial
+    where it fits within SIGN_POINTS, as it does up to six places.
+    Otherwise those equal to a constant point but in at most r coordinates,
+    for the largest r that keeps them within SIGN_POINTS. Every permutation
+    of the coordinates maps the set onto itself, so no order of the places
+    decides what it holds."""
+    values = _sign_values(k)
+    if len(values) ** k <= SIGN_POINTS:
+        return set(itertools.product(values, repeat=k))
     points: set = set()
     for r in range(k + 1):
         grown = set(points)
-        for base, changed in itertools.product(SIGN_VALUES,
+        for base, changed in itertools.product(values,
                                                itertools.combinations(range(k), r)):
-            for values in itertools.product(SIGN_VALUES, repeat=r):
+            for v in itertools.product(values, repeat=r):
                 point = [base] * k
-                for i, v in zip(changed, values):
-                    point[i] = v
+                for i, x in zip(changed, v):
+                    point[i] = x
                 grown.add(tuple(point))
                 if len(grown) > SIGN_POINTS:
                     return points

@@ -221,13 +221,17 @@ def _update(x: str, ins: list, outs: list, general: bool) -> list:
     return [f"{x} = {new}", f"if {x} < 0.0:", f"    {x} = 0.0; _clips += 1"]
 
 
+# no weight switched off: the general stepper
+_NONE = frozenset()
+
+
 class _Steppers:
     """The Euler steppers of one vapn model, each compiled on first use.
 
     `source(dropped)` writes the stepper that leaves out the weights named
-    in the frozenset `dropped`; the empty set gives the general stepper,
-    which calling this object runs. `switches` pairs the position of a
-    parameter with a weight that its zero value switches off.
+    in the frozenset `dropped`; the empty set gives the general stepper.
+    `switches` pairs the position of a parameter with a weight that its
+    zero value switches off.
     """
     __slots__ = ("switches", "source", "what", "built")
 
@@ -237,11 +241,10 @@ class _Steppers:
         self.what = what
         self.built: dict = {}
 
-    def __call__(self, *args):
-        return self.stepper(frozenset())(*args)
-
     def dropped(self, p: tuple) -> frozenset:
         """The weights that the parameter values p switch off."""
+        if 0.0 not in p:    # as in most runs; -0.0 == 0.0 is found too
+            return _NONE
         return frozenset(w for k, w in self.switches if p[k] == 0.0)
 
     def stepper(self, dropped: frozenset):
@@ -318,6 +321,39 @@ def step_vapn(m: PetriModel, marking, dt: float, params=None):
     return run_vapn(m, dt, dt=dt, params=params, marking0=marking).final()
 
 
+def _euler(m: PetriModel, runner, marking: tuple, t0: float, t_end: float,
+           dt: float, sample_every: int, p: tuple) -> Trajectory:
+    """run_vapn's run on one compiled stepper."""
+    span = t_end - t0
+    nsteps = int(math.floor(span / dt + 1e-9))
+    remainder = span - nsteps * dt
+    times = [t0]
+    markings = [marking]
+    final, clips = call(m, SimError, runner, marking, nsteps, dt, sample_every,
+                        times.append, markings.append, t0, p)
+    t = t0 + nsteps * dt
+    # a remainder within rounding of a whole step is no step; with no whole
+    # step (dt > span) the remainder is the span, and always stepped
+    if remainder > 1e-9 * min(dt, span):
+        # one step of the loop; with _every = 2 > _nsteps = 1 it records no sample
+        final, c2 = call(m, SimError, runner, final, 1, remainder, 2, None, None,
+                         0.0, p)
+        clips += c2
+        t = t_end
+    # a place that is not finite stays so (only -inf is clipped, and
+    # counted), so the final marking shows whether any step overflowed
+    for place, v in zip(m.places, final):
+        if not math.isfinite(v):
+            raise SimError(f"model {m.name}: the marking of place {place.name!r} "
+                           f"is {v} at t={t:.6g}; the run overflowed")
+    if times[-1] != t:
+        times.append(t)
+        markings.append(final)
+    return Trajectory(m.place_names(), tuple(times), tuple(markings),
+                      clipping_events=clips,
+                      metadata={"kind": "vapn", "dt": dt})
+
+
 def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
              marking0=None, t0: float = 0.0, sample_every: int = 1) -> Trajectory:
     """Euler steps of size dt from the initial (or given) marking.
@@ -340,45 +376,16 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
     steppers = per_model(m, _build_vapn)
     marking = _marking(m, marking0 if marking0 is not None else m.initial_marking())
 
-    nsteps = int(math.floor(span / dt + 1e-9))
-    remainder = span - nsteps * dt
-
-    def euler(runner):
-        times = [t0]
-        markings = [marking]
-        final, clips = call(m, SimError, runner, marking, nsteps, dt, sample_every,
-                            times.append, markings.append, t0, p)
-        t = t0 + nsteps * dt
-        # a remainder within rounding of a whole step is no step; with no whole
-        # step (dt > span) the remainder is the span, and always stepped
-        if remainder > 1e-9 * min(dt, span):
-            # one step of the loop; with _every = 2 > _nsteps = 1 it records no sample
-            final, c2 = call(m, SimError, runner, final, 1, remainder, 2, None, None,
-                             0.0, p)
-            clips += c2
-            t = t_end
-        # a place that is not finite stays so (only -inf is clipped, and
-        # counted), so the final marking shows whether any step overflowed
-        for place, v in zip(m.places, final):
-            if not math.isfinite(v):
-                raise SimError(f"model {m.name}: the marking of place {place.name!r} "
-                               f"is {v} at t={t:.6g}; the run overflowed")
-        if times[-1] != t:
-            times.append(t)
-            markings.append(final)
-        return Trajectory(m.place_names(), tuple(times), tuple(markings),
-                          clipping_events=clips,
-                          metadata={"kind": "vapn", "dt": dt})
-
     # the stepper without the weights that zero parameters switch off gives
     # the general stepper's bits or a SimError (see the module docstring)
     dropped = steppers.dropped(p)
     if dropped and not any(math.copysign(1.0, v) < 0.0 for v in marking):
         try:
-            return euler(steppers.stepper(dropped))
+            return _euler(m, steppers.stepper(dropped), marking, t0, t_end, dt,
+                          sample_every, p)
         except SimError:
             pass    # the general stepper's outcome stands
-    return euler(steppers.stepper(frozenset()))
+    return _euler(m, steppers.stepper(_NONE), marking, t0, t_end, dt, sample_every, p)
 
 
 # -------------------------------------------------------------- stochastic

@@ -221,7 +221,7 @@ def test_vapn_step_matches_eval_expr(e, marking, params):
     if not all(0.0 <= v < math.inf for v in (s, i)):
         with pytest.raises(SimError, match="marking of place"):
             step_vapn(m, marking, 0.5, p)
-    runner = per_model(m, sim._build_vapn)
+    runner = per_model(m, sim._build_vapn).stepper(frozenset())
 
     def step():
         """The compiled step past step_vapn's check of the marking: inside a

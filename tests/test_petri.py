@@ -283,13 +283,19 @@ def test_assumption_a3_infection_feeding_a_non_infected_place():
         "arc S -> infect", 'arc I -> infect weight="b*S*I"\narc S -> infect')
     findings = validate_assumptions(parse_model(text))
     assert [f.status for f in findings if f.code == "A3"] == ["satisfied"]
+    # 4*S - S*S - 3.5 > 0 only for S in (1.29, 2.71), and < 0 at 0.1, 1
+    # and 10: one free place takes more values than those three
+    findings = validate_assumptions(parse_model(A3_NET.replace("GAIN", "4*S - S*S - 3.5")))
+    assert [f.status for f in findings if f.code == "A3"] == ["violated"]
 
 
 @pytest.mark.parametrize("k", range(10))
 def test_sign_points_are_bounded_and_closed_under_permutations(k):
+    values = petri._sign_values(k)
+    assert values[0] == 0.1 and 1.0 in values and values[-1] == 10.0
     points = petri._sign_points(k)
-    if len(petri.SIGN_VALUES) ** k <= petri.SIGN_POINTS:
-        assert points == set(itertools.product(petri.SIGN_VALUES, repeat=k))
+    if k <= 6:
+        assert points == set(itertools.product(values, repeat=k))
     assert 0 < len(points) <= petri.SIGN_POINTS
     rng = random.Random(k)
     for _ in range(5):
