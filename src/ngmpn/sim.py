@@ -44,31 +44,33 @@ codegen.call raises the error as SimError naming the model.
 A parameter at 0 often switches arcs off: a sweep closes the population by
 setting births, deaths and waning to 0. So the vapn stepper is compiled once
 per model and set of switched-off weights, and a run uses the one its
-parameter values select. A weight is switched off when it is a parameter
-at +-0.0, or a product whose first factor is that parameter and whose other
-factors are places, parameters or finite constants; the stepper without it
-leaves it out of every sum, writes a place left with no inflow as
-x - _dt*(outs) and one with no outflow as x + _dt*(ins), and does not touch
-a place left with neither. Its runs give the general stepper's bits:
+parameter values select; the empty set gives the stepper that computes every
+weight. A weight is switched off when it is a parameter at +-0.0, or a
+product whose first factor is that parameter and whose other factors are
+places, parameters or finite constants. Every stepper leaves the weights it
+drops out of every sum, writes a place with inflow and outflow as
+x + _dt*((ins) - (outs)), one with no inflow as x - _dt*(outs) and one with
+no outflow as x + _dt*(ins), and does not touch a place with neither. Its
+runs give the bits of the stepper for the empty set:
 - On a finite marking such a weight is a signed zero, since the product
   starts from the zero and multiplies it by finite factors left to right.
   Adding a signed zero to a sum leaves a non-zero sum as it is and a zero
   sum a zero, a term added to a zero of either sign gives the same result,
-  and 0.0 - y is -y but for the sign of a zero, so each place's increment
-  dt*(ins - outs) has the same bits in both steppers or is a zero in both.
-  Nor can a weight left out raise: float products do not.
-- A zero increment leaves x as it is unless x is -0.0, where the general
-  stepper's -0.0 + 0.0 gives 0.0. No step makes a -0.0, since x + y is
-  -0.0 only when x is, so a run whose starting marking holds no -0.0 never
-  meets one; a run whose starting marking does hold one uses the general
-  stepper.
-- So both steppers agree, clips and errors included, for as long as the
+  and x - y is x + (0.0 - y) but for the sign of a zero, so each place
+  gains the same increment dt*(ins - outs) in both steppers, or a zero in
+  both. Nor can a weight left out raise: float products do not.
+- A zero leaves x as it is unless x is -0.0. _marking reads a -0.0 entry as
+  0.0, and no step makes a -0.0, since x + y and x - y are -0.0 only when x
+  is, so no stepper meets one.
+- So all steppers agree, clips and errors included, for as long as the
   marking stays finite. A place that turns inf or NaN stays so to the end,
-  where run_vapn raises SimError. Any SimError from the specialised stepper
-  therefore runs the call again on the general one, whose outcome stands.
+  where run_vapn raises SimError. Any SimError from a stepper that drops
+  weights therefore runs the call again on the one for the empty set, whose
+  outcome stands.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -169,7 +171,8 @@ def _check_samples(count: float):
 
 def _marking(m: PetriModel, marking, error=SimError) -> tuple:
     """The marking as a tuple, one value per place of the model, refusing
-    with `error` any entry that is not a finite, non-negative number."""
+    with `error` any entry that is not a finite, non-negative number and
+    reading -0.0 as 0.0 (ints stay ints)."""
     marking = tuple(marking)
     if len(marking) != len(m.places):
         raise error(f"marking length does not match the model: {len(marking)} "
@@ -178,7 +181,7 @@ def _marking(m: PetriModel, marking, error=SimError) -> tuple:
         if not (isinstance(v, numbers.Real) and 0 <= v < math.inf):
             raise error(f"marking of place {place.name!r} is not a finite, "
                         f"non-negative number: {v!r}")
-    return marking
+    return tuple(v + 0 for v in marking)
 
 
 # ----------------------------------------------------------- deterministic
@@ -205,13 +208,12 @@ def _switch(weight, position: dict):
     return position[first.name]
 
 
-def _update(x: str, ins: list, outs: list, general: bool) -> list:
-    """Source lines of one place's Euler update and clip. The general
-    stepper writes every place as x + _dt*((ins) - (outs)); the others leave
-    out an empty side, and a place with neither."""
+def _update(x: str, ins: list, outs: list) -> list:
+    """Source lines of one place's Euler update and clip: x + _dt*((ins) -
+    (outs)), with an empty side left out, and none for a place with neither."""
     i, o = " + ".join(ins), " + ".join(outs)
-    if general or (ins and outs):
-        new = f"{x} + _dt*(({i or '0.0'}) - ({o or '0.0'}))"
+    if ins and outs:
+        new = f"{x} + _dt*(({i}) - ({o}))"
     elif outs:
         new = f"{x} - _dt*({o})"
     elif ins:
@@ -221,40 +223,12 @@ def _update(x: str, ins: list, outs: list, general: bool) -> list:
     return [f"{x} = {new}", f"if {x} < 0.0:", f"    {x} = 0.0; _clips += 1"]
 
 
-# no weight switched off: the general stepper
-_NONE = frozenset()
-
-
-class _Steppers:
-    """The Euler steppers of one vapn model, each compiled on first use.
-
-    `source(dropped)` writes the stepper that leaves out the weights named
-    in the frozenset `dropped`; the empty set gives the general stepper.
-    `switches` pairs the position of a parameter with a weight that its
-    zero value switches off.
-    """
-    __slots__ = ("switches", "source", "what", "built")
-
-    def __init__(self, switches: tuple, source, what: str):
-        self.switches = switches
-        self.source = source
-        self.what = what
-        self.built: dict = {}
-
-    def dropped(self, p: tuple) -> frozenset:
-        """The weights that the parameter values p switch off."""
-        if 0.0 not in p:    # as in most runs; -0.0 == 0.0 is found too
-            return _NONE
-        return frozenset(w for k, w in self.switches if p[k] == 0.0)
-
-    def stepper(self, dropped: frozenset):
-        run = self.built.get(dropped)
-        if run is None:
-            run = self.built[dropped] = generated(self.source(dropped), self.what)["_run"]
-        return run
-
-
-def _build_vapn(m: PetriModel) -> _Steppers:
+def _build_vapn(m: PetriModel) -> tuple:
+    """The switches of a vapn model, its stepper source writer and its
+    stepper cache. `switches` pairs the position of a parameter with a
+    weight that its zero value switches off; `source(dropped)` writes the
+    stepper that leaves out the weights in the frozenset `dropped`, and
+    `stepper(dropped)` compiles it on first use."""
     if m.kind != "vapn":
         raise SimError(f"model {m.name} is not a vapn")
     names = symbol_table(m)
@@ -294,7 +268,7 @@ def _build_vapn(m: PetriModel) -> _Steppers:
         step = head + [f"{w} = {code}" for code, w in weights.items() if w not in dropped]
         for x, ins, outs in flows:
             step += _update(x, [w for w in ins if w not in dropped],
-                            [w for w in outs if w not in dropped], not dropped)
+                            [w for w in outs if w not in dropped])
         body = "\n            ".join(step or ["pass"])
         return f"""
 def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0, _p):
@@ -312,8 +286,13 @@ def _run(_mk, _nsteps, _dt, _every, _tapp, _mapp, _t0, _p):
             _mapp(({unpack}))
     return ({unpack}), _clips
 """
-    return _Steppers(tuple((k, w) for w, k in switches.items()), source,
-                     f"vapn stepper {m.name}")
+    what = f"vapn stepper {m.name}"
+
+    @functools.cache
+    def stepper(dropped: frozenset):
+        return generated(source(dropped), what)["_run"]
+
+    return tuple((k, w) for w, k in switches.items()), source, stepper
 
 
 def step_vapn(m: PetriModel, marking, dt: float, params=None):
@@ -373,19 +352,21 @@ def run_vapn(m: PetriModel, t_end: float, dt: float = 0.1, params=None,
                        f"than {MAX_STEPS}; use a larger dt")
     _check_samples(span / dt / sample_every)
     p = _param_values(m, params)
-    steppers = per_model(m, _build_vapn)
+    switches, _, stepper = per_model(m, _build_vapn)
     marking = _marking(m, marking0 if marking0 is not None else m.initial_marking())
 
     # the stepper without the weights that zero parameters switch off gives
-    # the general stepper's bits or a SimError (see the module docstring)
-    dropped = steppers.dropped(p)
-    if dropped and not any(math.copysign(1.0, v) < 0.0 for v in marking):
-        try:
-            return _euler(m, steppers.stepper(dropped), marking, t0, t_end, dt,
-                          sample_every, p)
-        except SimError:
-            pass    # the general stepper's outcome stands
-    return _euler(m, steppers.stepper(_NONE), marking, t0, t_end, dt, sample_every, p)
+    # the bits of the one for the empty set, or a SimError (see the module
+    # docstring); -0.0 == 0.0, so `in` finds either zero
+    if 0.0 in p:
+        dropped = frozenset(w for k, w in switches if p[k] == 0.0)
+        if dropped:
+            try:
+                return _euler(m, stepper(dropped), marking, t0, t_end, dt,
+                              sample_every, p)
+            except SimError:
+                pass    # the outcome of the stepper for the empty set stands
+    return _euler(m, stepper(frozenset()), marking, t0, t_end, dt, sample_every, p)
 
 
 # -------------------------------------------------------------- stochastic

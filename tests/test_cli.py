@@ -138,6 +138,14 @@ def test_simulate_vapn_to_file(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_simulate_reads_a_negative_zero_start_as_zero(tmp_path, capsys):
+    path = tmp_path / "tiny.pnet"
+    path.write_text(SIR_FILE.replace("place R init=0", "place R init=-0"))
+    code, out, _ = run(capsys, "simulate", str(path), "--t-end", "1")
+    assert code == 0
+    assert out.splitlines()[1] == "0,9999,1,0"
+
+
 def test_simulate_requires_t_end(capsys):
     code, _, err = run(capsys, "simulate", "--builtin", "sirs")
     assert code == 2 and "--t-end" in err

@@ -221,7 +221,7 @@ def test_vapn_step_matches_eval_expr(e, marking, params):
     if not all(0.0 <= v < math.inf for v in (s, i)):
         with pytest.raises(SimError, match="marking of place"):
             step_vapn(m, marking, 0.5, p)
-    runner = per_model(m, sim._build_vapn).stepper(frozenset())
+    runner = per_model(m, sim._build_vapn)[2](frozenset())
 
     def step():
         """The compiled step past step_vapn's check of the marking: inside a
@@ -235,7 +235,7 @@ def test_vapn_step_matches_eval_expr(e, marking, params):
             step()
         return
     w = want[0]
-    expected = [s + 0.5 * (0.0 - w), i + 0.5 * (w - 0.0)]
+    expected = [s - 0.5 * w, i + 0.5 * w]
     expected = [0.0 if v < 0.0 else v for v in expected]   # the clip
     assert hexes(step()) == hexes(expected)
 

@@ -878,13 +878,11 @@ def rescaled(m, c):
     return PetriModel(m.name, m.kind, m.places, transitions, arcs, m.params)
 
 
-@pytest.mark.parametrize("c", [1e-30, 1e-14, 1e-3, 7.0, 1e3, 1e12, 1e30])
-@pytest.mark.parametrize("mid", zoo_ids())
-def test_r0_and_dfe_invariant_under_time_rescaling(mid, c):
+def assert_invariant_under_time_rescaling(m, c, params=None):
     # scaling every rate by c scales F and V by c, so K = F V^-1 and the
     # zeros of the flows (the DFE) do not change
-    base = ngm_r0(builtin(mid))
-    res = ngm_r0(rescaled(builtin(mid), c))
+    base = ngm_r0(m, params=params)
+    res = ngm_r0(rescaled(m, c), params=params)
     assert rel(res.V[0][0], c * base.V[0][0]) <= 1e-12   # V did scale
     assert rel(res.r0, base.r0) <= 1e-12, (res.r0, base.r0)
     for x, y in zip(res.dfe.marking, base.dfe.marking, strict=True):
@@ -892,6 +890,30 @@ def test_r0_and_dfe_invariant_under_time_rescaling(mid, c):
     assert res.dfe.method == base.dfe.method
     assert ([(f.code, f.status) for f in res.findings]
             == [(f.code, f.status) for f in base.findings])
+
+
+@pytest.mark.parametrize("c", [1e-30, 1e-14, 1e-3, 7.0, 1e3, 1e12, 1e30])
+@pytest.mark.parametrize("mid", zoo_ids())
+def test_r0_and_dfe_invariant_under_time_rescaling(mid, c):
+    assert_invariant_under_time_rescaling(builtin(mid), c)
+
+
+@st.composite
+def rescaling_cases(draw):
+    """A zoo model at a draw from its manifest ranges, or a generated chain
+    (vapn or its spn twin) at its own values."""
+    if draw(st.booleans()):
+        mid = draw(st.sampled_from(zoo_ids()))
+        return builtin(mid), draw(st.fixed_dictionaries(
+            {name: st.floats(spec.lo, spec.hi) for name, spec in zoo_entry(mid).params.items()}))
+    return parse_model(draw(st.sampled_from(draw(chains())))), None
+
+
+@given(rescaling_cases(), st.floats(-30.0, 30.0))
+@settings(max_examples=220, derandomize=True, deadline=None, database=None)
+def test_r0_and_dfe_invariant_under_time_rescaling_at_drawn_points(case, exponent):
+    m, params = case
+    assert_invariant_under_time_rescaling(m, 10.0 ** exponent, params)
 
 
 def test_conservation_row_keeps_its_pivot_next_to_huge_flow_rates():

@@ -274,6 +274,21 @@ def test_spn_different_seeds_diverge():
     assert a.markings != b.markings
 
 
+def test_spn_without_a_seed_records_the_one_it_drew():
+    m = builtin("sirs_spn")
+    a = run_spn(m, 2.0)
+    assert type(a.rng_seed) is int and 0 <= a.rng_seed < 2**64
+    again = run_spn(m, 2.0, seed=a.rng_seed)
+    assert (again.times, again.markings) == (a.times, a.markings)
+    assert run_spn(m, 2.0).rng_seed != a.rng_seed
+    # replicates record the drawn seed they were spawned from
+    runs = run_spn_replicates(m, 2.0, replicates=2)
+    parent = runs[0].metadata["parent_seed"]
+    assert type(parent) is int and 0 <= parent < 2**64
+    again = run_spn_replicates(m, 2.0, seed=parent, replicates=2)
+    assert [r.markings for r in again] == [r.markings for r in runs]
+
+
 def test_spn_markings_stay_integral_and_conserved():
     m = builtin("sirs_spn")   # closed population
     traj = run_spn(m, 10.0, seed=7)
@@ -848,8 +863,30 @@ arc I -> die weight="S*I*mu"
 arc R -> die weight="mu*R"
 """
 
+# a source into X that k = 0 switches off, and an outflow that reads Y
+SIGNED_ZERO = """\
+model signed_zero kind=vapn
+param k=1.0
+param c=0.5
+place X init=0
+place Y init=0 infected
+trans birth
+arc birth -> X weight="k"
+trans infect
+arc X -> infect weight="c*Y"
+arc infect -> Y weight="c*Y"
+"""
+
 VAPN_ZOO = [mid for mid in zoo_ids() if builtin(mid).kind == "vapn"]
 MARKING_VALUES = st.sampled_from([0.0, 1e-3, 1.0, 7.5, 1e6, 1e200, 1e308, 1.7e308])
+BUILD_VAPN = sim._build_vapn
+
+
+def without_switches(m):
+    """sim._build_vapn as if no parameter switched a weight off, so that
+    run_vapn runs every weight on the stepper for the empty set."""
+    _, source, stepper = codegen.per_model(m, BUILD_VAPN)
+    return (), source, stepper
 
 
 def run_outcome(run):
@@ -893,9 +930,12 @@ def zero_arc_runs(draw):
 @example((parse_model(GUARDS), {"mu": 0.0, "beta": 0.0}, (1e308, 1.0, 1e308), 0.5, 2.0, 1))
 # S*I overflows: S*I*0 is NaN
 @example((parse_model(GUARDS), {"mu": 0.0, "beta": 0.0}, (1e200, 1e200, 0.0), 0.5, 2.0, 1))
-# R starts at -0.0 and keeps no arc, where the general stepper gives it 0.0
+# R starts at -0.0 and keeps no arc
 @example((parse_model(GUARDS), {"mu": -0.0, "beta": 0.0}, (1.0, 1.0, -0.0), 0.5, 2.0, 1))
-# R overflows to inf, where the general stepper's mu*R makes it NaN
+# X starts at -0.0: without its source X - _dt*(c*Y) keeps the -0.0, where
+# X + _dt*((k) - (c*Y)) gives 0.0, unless the run reads -0.0 as 0.0
+@example((parse_model(SIGNED_ZERO), {"k": 0.0}, (-0.0, 0.0), 0.5, 2.0, 1))
+# R overflows to inf, where the stepper for the empty set makes mu*R NaN
 @example((builtin("nonlinear"), {"mu": 0.0, "gamma": 1e308}, (1.0, 0.0, 1.0, 1.7e308),
           0.1, 0.5, 1))
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -910,15 +950,16 @@ def test_stepper_without_switched_off_arcs_gives_the_general_steppers_bits(case)
                         sample_every=every)
 
     got = run_outcome(run)
-    with mock.patch.object(sim._Steppers, "dropped", lambda self, p: frozenset()):
+    with mock.patch.object(sim, "_build_vapn", without_switches):
         want = run_outcome(run)
     assert got == want
 
 
 def test_switched_off_weights_are_a_leading_zero_parameter_times_atoms():
     def source(m, params):
-        steppers = codegen.per_model(m, sim._build_vapn)
-        return steppers.source(steppers.dropped(sim._param_values(m, params)))
+        switches, write, _ = codegen.per_model(m, BUILD_VAPN)
+        p = sim._param_values(m, params)
+        return write(frozenset(w for k, w in switches if p[k] == 0.0))
 
     # mu*R goes and leaves R with no arc; mu*N and S*I*mu stay
     src = source(parse_model(GUARDS), {"mu": -0.0})
